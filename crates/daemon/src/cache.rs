@@ -11,9 +11,12 @@
 //! cold key, one computes while the others block on a condvar, and all
 //! of them receive the one rendered result. Failures are cached too —
 //! a malformed program that cannot be retargeted fails once, not once
-//! per client.
+//! per client — and a computation that panics fails its key the same
+//! way instead of leaving it in flight forever.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -28,6 +31,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The message a panic was raised with, when it carried one.
+pub(crate) fn panic_message(panic: &(dyn Any + Send)) -> Option<&str> {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
 }
 
 enum State {
@@ -99,12 +110,14 @@ impl ResultCache {
     /// Returns the cached result for `canon`, computing it with
     /// `compute` on a miss. Concurrent callers with the same `canon`
     /// compute once: the first runs `compute` (outside the lock), the
-    /// rest block until it finishes and share the outcome.
+    /// rest block until it finishes and share the outcome. A panic in
+    /// `compute` is caught and published as this key's failure.
     ///
     /// # Errors
     ///
-    /// The error `compute` produced — whether on this call or on the
-    /// earlier call that populated (and failed) this entry.
+    /// The error `compute` produced, or `job panicked: <message>` if it
+    /// panicked — whether on this call or on the earlier call that
+    /// populated (and failed) this entry.
     pub fn get_or_compute(
         &self,
         canon: &[u8],
@@ -146,7 +159,10 @@ impl ResultCache {
         // We own the Building slot; compute outside the lock so other
         // keys proceed, then publish and wake every waiter (waiters on
         // other keys just re-check and sleep again).
-        let outcome = compute();
+        let outcome = catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|panic| {
+            let msg = panic_message(&*panic).unwrap_or("no message");
+            Err(format!("job panicked: {msg}"))
+        });
         let mut map = self.map.lock().expect("cache poisoned");
         let entry = &mut map.get_mut(&key).expect("building entry vanished")[slot];
         let result = match outcome {
@@ -192,7 +208,9 @@ impl Default for ResultCache {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn second_lookup_hits_and_shares_the_allocation() {
@@ -245,6 +263,44 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 15);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_key_without_blocking_later_callers() {
+        // Every caller runs on its own thread and reports through a
+        // channel, so a wedged key fails the test by timeout instead of
+        // hanging it.
+        type Job = Box<dyn FnOnce() -> Result<String, String> + Send>;
+        let cache = Arc::new(ResultCache::new());
+        let (tx, rx) = mpsc::channel();
+        let ask = |compute: Job| {
+            let (cache, tx) = (Arc::clone(&cache), tx.clone());
+            thread::spawn(move || tx.send(cache.get_or_compute(b"boom", compute)))
+        };
+        let answer = || rx.recv_timeout(Duration::from_secs(5));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let mut callers = vec![ask(Box::new(move || {
+            started_tx.send(()).expect("test is listening");
+            go_rx.recv().expect("test releases the job");
+            panic!("compute exploded")
+        }))];
+        started_rx.recv().expect("the first caller computes");
+        // A second caller arrives while the key is in flight.
+        callers.push(ask(Box::new(|| unreachable!("key already claimed"))));
+        go_tx.send(()).expect("job is waiting");
+        let expected = Err("job panicked: compute exploded".to_owned());
+        for _ in 0..2 {
+            assert_eq!(answer().expect("a caller blocked on the key"), expected);
+        }
+        // A third caller arrives after the failure was published.
+        callers.push(ask(Box::new(|| unreachable!("key already failed"))));
+        assert_eq!(answer().expect("a later caller blocked"), expected);
+        for caller in callers {
+            caller.join().expect("caller thread").expect("answer sent");
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
     }
 
     #[test]

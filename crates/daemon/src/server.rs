@@ -108,11 +108,7 @@ pub fn sweep_result(cfg: &SweepConfig) -> Result<String, String> {
     match catch_unwind(AssertUnwindSafe(|| run_sweep(cfg))) {
         Ok(report) => Ok(zolc_bench::report_json(&report).render()),
         Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "sweep panicked".into());
+            let msg = crate::cache::panic_message(&*panic).unwrap_or("sweep panicked");
             Err(format!("sweep panicked: {msg}"))
         }
     }

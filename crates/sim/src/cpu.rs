@@ -29,14 +29,6 @@ pub struct CpuConfig {
     pub mem_size: usize,
     /// Whether to collect a retire-order trace (costs memory).
     pub trace_retire: bool,
-    /// Let the nest executor route an eligible run (passive engine,
-    /// untraced, fresh session at the start of text) through the
-    /// `zolc-oracle` closed-form summarizer, applying the final state
-    /// in O(1) instead of executing. Off by default; when the oracle
-    /// refuses (or the summary exceeds the fuel budget) the run falls
-    /// back to normal execution, so the architectural outcome is
-    /// identical either way.
-    pub oracle_fast_path: bool,
 }
 
 impl Default for CpuConfig {
@@ -44,7 +36,6 @@ impl Default for CpuConfig {
         CpuConfig {
             mem_size: (DATA_BASE as usize) + (1 << 20),
             trace_retire: false,
-            oracle_fast_path: false,
         }
     }
 }
@@ -233,8 +224,8 @@ impl ExecutorKind {
     /// Opens a fresh run session of this kind over a shared compiled
     /// program (see [`CompiledProgram`]): new memory with the text and
     /// data segments written, pc at the start of text, zeroed registers
-    /// and statistics. The program — including the compiled tier's
-    /// basic-block cache — is shared; the session is the cheap per-run
+    /// and statistics. The program — including the compiled tiers'
+    /// compile tables — is shared; the session is the cheap per-run
     /// half.
     ///
     /// # Errors
@@ -271,6 +262,22 @@ impl fmt::Display for ExecutorKind {
             ExecutorKind::Compiled => "compiled",
             ExecutorKind::Nest => "nest",
         })
+    }
+}
+
+impl std::str::FromStr for ExecutorKind {
+    type Err = String;
+
+    /// Parses a [`Display`](fmt::Display) name, or `pipeline` for the
+    /// cycle-accurate tier.
+    fn from_str(name: &str) -> Result<ExecutorKind, String> {
+        if name == "pipeline" {
+            return Ok(ExecutorKind::CycleAccurate);
+        }
+        ExecutorKind::ALL
+            .into_iter()
+            .find(|kind| kind.to_string() == name)
+            .ok_or_else(|| format!("`{name}` is not one of pipeline|functional|compiled|nest"))
     }
 }
 
@@ -368,5 +375,13 @@ mod tests {
         assert_eq!(ExecutorKind::Nest.to_string(), "nest");
         assert_eq!(ExecutorKind::default(), ExecutorKind::CycleAccurate);
         assert_eq!(ExecutorKind::ALL.len(), 4);
+        for kind in ExecutorKind::ALL {
+            assert_eq!(kind.to_string().parse(), Ok(kind));
+        }
+        assert_eq!("pipeline".parse(), Ok(ExecutorKind::CycleAccurate));
+        assert_eq!(
+            "superscalar".parse::<ExecutorKind>(),
+            Err("`superscalar` is not one of pipeline|functional|compiled|nest".into())
+        );
     }
 }

@@ -66,18 +66,6 @@ pub(crate) struct Machine {
 }
 
 impl Machine {
-    pub(crate) fn new(config: CpuConfig) -> Machine {
-        Machine {
-            config,
-            prog: CompiledProgram::empty(),
-            mem: Memory::new(config.mem_size),
-            regs: RegFile::new(),
-            pc: TEXT_BASE,
-            stats: Stats::default(),
-            retire_log: Vec::new(),
-        }
-    }
-
     /// A fresh session over a shared compiled program: new memory with
     /// the text and data segments written, pc at the start of text,
     /// zeroed registers and statistics.
@@ -85,20 +73,18 @@ impl Machine {
         prog: &Arc<CompiledProgram>,
         config: CpuConfig,
     ) -> Result<Machine, MemError> {
-        let mut m = Machine::new(config);
-        m.attach(Arc::clone(prog))?;
-        Ok(m)
-    }
-
-    /// Points this machine at `prog` and (re)writes its memory image;
-    /// registers and statistics are left untouched so callers can
-    /// pre-seed state.
-    pub(crate) fn attach(&mut self, prog: Arc<CompiledProgram>) -> Result<(), MemError> {
-        self.mem.write_bytes(TEXT_BASE, prog.text_bytes())?;
-        self.mem.write_bytes(DATA_BASE, prog.source().data())?;
-        self.prog = prog;
-        self.pc = TEXT_BASE;
-        Ok(())
+        let mut mem = Memory::new(config.mem_size);
+        mem.write_bytes(TEXT_BASE, prog.text_bytes())?;
+        mem.write_bytes(DATA_BASE, prog.source().data())?;
+        Ok(Machine {
+            config,
+            prog: Arc::clone(prog),
+            mem,
+            regs: RegFile::new(),
+            pc: TEXT_BASE,
+            stats: Stats::default(),
+            retire_log: Vec::new(),
+        })
     }
 
     /// The per-instruction interpreter loop, monomorphized over engine

@@ -27,9 +27,9 @@
 //!    * [`CompiledCpu`] — the block-compiled functional executor: the
 //!      text segment is compiled on first entry into basic-block
 //!      superinstructions (pre-lowered op vectors, terminator handled
-//!      once) cached by entry pc × engine passivity, falling back to
-//!      the shared step core for `zwr`/`zctl`/`dbnz`, fetch faults and
-//!      active engines. Same architectural results as `FunctionalCpu`,
+//!      once), compiled once per entry pc, falling back to the shared
+//!      step core for `zwr`/`zctl`/`dbnz`, fetch faults and active
+//!      engines. Same architectural results as `FunctionalCpu`,
 //!      another ~2–3× faster on passive engines.
 //!    * [`NestCpu`] — the loop-nest superblock executor: whole
 //!      engine-passive regions — counted loop nests included — are
@@ -55,9 +55,10 @@
 //!
 //! # Sessions over shared compiled programs
 //!
-//! The immutable half of an executor — the predecoded text image and
-//! the compiled tier's block cache — lives in an `Arc`-shareable
-//! [`CompiledProgram`]; an executor is a cheap per-run **session**
+//! The shared half of an executor — the predecoded text image and the
+//! write-once compile tables of the two compiled tiers — lives in an
+//! `Arc`-shareable [`CompiledProgram`]; an executor is a cheap per-run
+//! **session**
 //! (registers, data memory, pc, statistics) opened over it with
 //! [`ExecutorKind::new_session`] or the concrete `session`
 //! constructors. Compile once, run any number of concurrent sessions:
@@ -115,6 +116,6 @@ pub use functional::FunctionalCpu;
 pub use mem::{MemError, MemErrorKind, Memory};
 pub use nest::NestCpu;
 pub use pipeline::Cpu;
-pub use program::{BlockCacheConfig, BlockCacheStats, CompiledProgram};
+pub use program::CompiledProgram;
 pub use regfile::RegFile;
 pub use stats::Stats;

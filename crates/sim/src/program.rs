@@ -6,10 +6,9 @@
 //! * [`CompiledProgram`] — everything derived from the program bytes
 //!   and nothing else: the predecoded [`TextImage`], the encoded text
 //!   bytes (sessions copy them into simulated memory), the basic-block
-//!   cache of the compiled tier and the nest-superblock cache of the
-//!   nest tier. It is immutable after construction and `Arc`-shared,
-//!   so one compile serves any number of concurrent sessions — the
-//!   daemon's whole reason to exist.
+//!   table of the compiled tier and the nest-superblock table of the
+//!   nest tier. It is `Arc`-shared, so one compile serves any number of
+//!   concurrent sessions — the daemon's whole reason to exist.
 //! * a **session** (one of [`Cpu`](crate::Cpu),
 //!   [`FunctionalCpu`](crate::FunctionalCpu),
 //!   [`CompiledCpu`](crate::CompiledCpu),
@@ -17,173 +16,40 @@
 //!   [`ExecutorKind::new_session`](crate::ExecutorKind::new_session))
 //!   — the cheap per-run half: registers, data memory, pc, statistics.
 //!
-//! # The shared caches
+//! # The compile tables
 //!
-//! The block-compiled tier used to keep its compiled blocks in a dense
-//! per-core vector, recompiled for every `load_program`. Both compile
-//! caches now live here, keyed by entry pc, lazily populated under a
-//! mutex and bounded by [`BlockCacheConfig::max_blocks`] with FIFO
-//! eviction. Sessions keep a private memo of `Arc`s they have already
-//! looked up, so the steady-state dispatch loops never touch the lock;
-//! an evicted entry stays alive (and correct — text is immutable) for
-//! as long as any session still holds it.
+//! Like the paper's controller, whose loop tables are written once at
+//! initialization and only read at fetch time, each compiled tier keeps
+//! a **write-once table** with one slot per text instruction. A slot is
+//! filled the first time execution enters its pc — by exactly one
+//! session, while any racing session waits for that result — and is
+//! read without a lock from then on. The text length bounds the entry
+//! count, so nothing is ever evicted.
 //! [`CompiledProgram::cache_stats`] and
-//! [`CompiledProgram::nest_cache_stats`] expose hit/miss/eviction
-//! counters for tests and capacity tuning.
+//! [`CompiledProgram::nest_cache_stats`] count the filled slots.
 
 use crate::blocks::{compile, Block};
+use crate::cpu::RunError;
 use crate::exec::TextImage;
 use crate::nest::NestEntry;
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use zolc_isa::{Program, TEXT_BASE};
 
-/// Capacity knob for the shared compile caches of a
-/// [`CompiledProgram`] (applied independently to the basic-block cache
-/// and the nest-superblock cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct BlockCacheConfig {
-    /// Maximum number of resident entries per cache; the oldest entry
-    /// is evicted (FIFO) when an insert would exceed it. Clamped to at
-    /// least 1. Defaults to unbounded.
-    pub max_blocks: usize,
+/// One lazily compiled entry per text instruction. The slots hold a
+/// `Box` so a slot stays pointer-sized however large `T` is.
+type CompileTable<T> = Box<[OnceLock<Box<T>>]>;
+
+fn compile_table<T>(len: usize) -> CompileTable<T> {
+    (0..len).map(|_| OnceLock::new()).collect()
 }
 
-impl BlockCacheConfig {
-    /// An unbounded cache — the default: entry count is already capped
-    /// by the text segment size.
-    pub fn new() -> BlockCacheConfig {
-        BlockCacheConfig {
-            max_blocks: usize::MAX,
-        }
-    }
-
-    /// Caps each cache at `max_blocks` resident entries (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_max_blocks(mut self, max_blocks: usize) -> BlockCacheConfig {
-        self.max_blocks = max_blocks.max(1);
-        self
-    }
-}
-
-impl Default for BlockCacheConfig {
-    fn default() -> Self {
-        BlockCacheConfig::new()
-    }
-}
-
-/// Counters of a shared compile cache (see
-/// [`CompiledProgram::cache_stats`] and
-/// [`CompiledProgram::nest_cache_stats`]).
-///
-/// Hits and misses count *shared-cache* lookups: a session's private
-/// memo absorbs repeat lookups, so a long-running loop registers one
-/// miss when its entry is first compiled and no further traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub struct BlockCacheStats {
-    /// Lookups answered by an already-resident entry.
-    pub hits: u64,
-    /// Lookups that had to compile (and insert) the entry.
-    pub misses: u64,
-    /// Entries evicted to stay under [`BlockCacheConfig::max_blocks`].
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub resident: usize,
-}
-
-/// The mutable interior of a shared cache: resident entries by entry
-/// pc plus FIFO insertion order for eviction.
-#[derive(Debug)]
-struct CacheInner<T> {
-    map: HashMap<u32, Arc<T>>,
-    order: VecDeque<u32>,
-}
-
-impl<T> Default for CacheInner<T> {
-    fn default() -> Self {
-        CacheInner {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-}
-
-/// A concurrent, lazily populated, capacity-bounded compile cache,
-/// keyed by entry pc. Shared by the basic-block cache (`T = Block`)
-/// and the nest-superblock cache (`T = NestEntry`).
-#[derive(Debug)]
-pub(crate) struct SharedCache<T> {
-    max_entries: usize,
-    inner: Mutex<CacheInner<T>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl<T> SharedCache<T> {
-    fn new(config: BlockCacheConfig) -> SharedCache<T> {
-        SharedCache {
-            max_entries: config.max_blocks.max(1),
-            inner: Mutex::new(CacheInner::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the entry compiled at `entry`, building it with `make`
-    /// if absent. Compilation runs outside the lock; when two sessions
-    /// race on the same entry the first insert wins and the loser's
-    /// compile is discarded (both results are identical — text is
-    /// immutable).
-    fn get_or_compile(&self, entry: u32, make: impl FnOnce() -> T) -> Arc<T> {
-        if let Some(b) = self
-            .inner
-            .lock()
-            .expect("compile cache poisoned")
-            .map
-            .get(&entry)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(b);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(make());
-        let mut g = self.inner.lock().expect("compile cache poisoned");
-        if let Some(b) = g.map.get(&entry) {
-            return Arc::clone(b);
-        }
-        g.map.insert(entry, Arc::clone(&compiled));
-        g.order.push_back(entry);
-        // FIFO eviction; the just-inserted entry sits at the back, so
-        // with max_entries ≥ 1 it is never the one popped.
-        while g.map.len() > self.max_entries {
-            let Some(old) = g.order.pop_front() else {
-                break;
-            };
-            g.map.remove(&old);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        compiled
-    }
-
-    fn stats(&self) -> BlockCacheStats {
-        BlockCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident: self.inner.lock().expect("compile cache poisoned").map.len(),
-        }
-    }
+fn compiled<T>(table: &CompileTable<T>) -> usize {
+    table.iter().filter(|slot| slot.get().is_some()).count()
 }
 
 /// An immutable, `Arc`-shareable compiled program: the predecoded text
-/// image plus the shared basic-block and nest-superblock caches (see
-/// the module docs).
+/// image plus the write-once basic-block and nest-superblock tables
+/// (see the module docs).
 ///
 /// Compile once, then open any number of concurrent sessions against
 /// it:
@@ -211,40 +77,24 @@ pub struct CompiledProgram {
     source: Arc<Program>,
     text: TextImage,
     text_bytes: Vec<u8>,
-    blocks: SharedCache<Block>,
-    nests: SharedCache<NestEntry>,
+    blocks: CompileTable<Block>,
+    nests: CompileTable<NestEntry>,
 }
 
 impl CompiledProgram {
     /// Predecodes `program` into a shareable compiled form. Accepts an
     /// owned [`Program`] or an `Arc<Program>` (shared without copying).
     pub fn compile(program: impl Into<Arc<Program>>) -> Arc<CompiledProgram> {
-        CompiledProgram::compile_with(program, BlockCacheConfig::new())
-    }
-
-    /// [`CompiledProgram::compile`] with an explicit compile-cache
-    /// capacity (tests and memory-tight sweeps; the default is
-    /// unbounded).
-    pub fn compile_with(
-        program: impl Into<Arc<Program>>,
-        cache: BlockCacheConfig,
-    ) -> Arc<CompiledProgram> {
         let source = program.into();
         let text = TextImage::new(&source);
         let text_bytes = source.text_bytes();
         Arc::new(CompiledProgram {
+            blocks: compile_table(text.len()),
+            nests: compile_table(text.len()),
             source,
             text,
             text_bytes,
-            blocks: SharedCache::new(cache),
-            nests: SharedCache::new(cache),
         })
-    }
-
-    /// An empty program (no text, no data) — the image a freshly
-    /// constructed core holds before anything is loaded.
-    pub(crate) fn empty() -> Arc<CompiledProgram> {
-        CompiledProgram::compile(Program::default())
     }
 
     /// The source program this was compiled from.
@@ -262,39 +112,43 @@ impl CompiledProgram {
         &self.text_bytes
     }
 
-    /// Shared basic-block cache counters; see [`BlockCacheStats`].
-    pub fn cache_stats(&self) -> BlockCacheStats {
-        self.blocks.stats()
+    /// Number of basic blocks compiled so far.
+    pub fn cache_stats(&self) -> usize {
+        compiled(&self.blocks)
     }
 
-    /// Shared nest-superblock cache counters; see [`BlockCacheStats`].
-    /// A *miss* is one superblock compilation (positive or negative);
-    /// `resident` counts cached entries including negative ones.
-    pub fn nest_cache_stats(&self) -> BlockCacheStats {
-        self.nests.stats()
+    /// Number of nest-superblock entries compiled so far, including
+    /// entry pcs found unable to start a superblock.
+    pub fn nest_cache_stats(&self) -> usize {
+        compiled(&self.nests)
     }
 
-    /// Dense per-instruction index for `pc`, when `pc` is aligned and
-    /// inside text — exactly the addresses [`TextImage::fetch`] accepts.
-    pub(crate) fn block_index(&self, pc: u32) -> Option<usize> {
-        if !pc.is_multiple_of(4) {
-            return None;
-        }
+    /// Dense per-instruction index for `pc`, or the architectural fetch
+    /// fault when `pc` is misaligned or outside text — the table index
+    /// fails exactly when [`TextImage::fetch`] does.
+    fn index(&self, pc: u32) -> Result<usize, RunError> {
         let idx = (pc.wrapping_sub(TEXT_BASE) / 4) as usize;
-        (idx < self.text.len()).then_some(idx)
+        if pc.is_multiple_of(4) && idx < self.text.len() {
+            return Ok(idx);
+        }
+        let e = self
+            .text
+            .fetch(pc)
+            .expect_err("table index and fetch agree");
+        Err(RunError::from_fetch(e, pc))
     }
 
-    /// The compiled block entered at `entry` (compiling on first use).
-    pub(crate) fn block_at(&self, entry: u32) -> Arc<Block> {
-        self.blocks
-            .get_or_compile(entry, || compile(&self.text, entry))
+    /// The compiled block entered at `pc` (compiling on first use).
+    pub(crate) fn block_at(&self, pc: u32) -> Result<&Block, RunError> {
+        let slot = &self.blocks[self.index(pc)?];
+        Ok(slot.get_or_init(|| Box::new(compile(&self.text, pc))))
     }
 
-    /// The nest-superblock entry at `entry` (compiling on first use;
-    /// negative results — regions not worth a superblock — are cached
+    /// The nest-superblock entry at `pc` (compiling on first use;
+    /// negative results — regions not worth a superblock — are kept
     /// too, as [`NestEntry::Step`]).
-    pub(crate) fn nest_at(&self, entry: u32) -> Arc<NestEntry> {
-        self.nests
-            .get_or_compile(entry, || crate::nest::compile_nest(&self.text, entry))
+    pub(crate) fn nest_at(&self, pc: u32) -> Result<&NestEntry, RunError> {
+        let slot = &self.nests[self.index(pc)?];
+        Ok(slot.get_or_init(|| Box::new(crate::nest::compile_nest(&self.text, pc))))
     }
 }

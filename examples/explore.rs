@@ -50,16 +50,10 @@ fn parse_flag<T: std::str::FromStr>(args: &mut std::env::Args, flag: &str) -> T 
 /// Maps an `--executor` name to its tier, exiting with a usage error
 /// (status 2) on anything else.
 fn parse_executor(name: &str) -> ExecutorKind {
-    match name {
-        "pipeline" | "cycle-accurate" => ExecutorKind::CycleAccurate,
-        "functional" => ExecutorKind::Functional,
-        "compiled" => ExecutorKind::Compiled,
-        "nest" => ExecutorKind::Nest,
-        other => {
-            eprintln!("--executor: `{other}` is not one of pipeline|functional|compiled|nest");
-            std::process::exit(2);
-        }
-    }
+    name.parse().unwrap_or_else(|e| {
+        eprintln!("--executor: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -53,16 +53,10 @@ fn flag_value(args: &mut std::env::Args, flag: &str) -> String {
 /// Maps an `--executor` name to its tier, exiting with a usage error
 /// (status 2) on anything else — same spelling as `explore`.
 fn parse_executor(name: &str) -> ExecutorKind {
-    match name {
-        "pipeline" | "cycle-accurate" => ExecutorKind::CycleAccurate,
-        "functional" => ExecutorKind::Functional,
-        "compiled" => ExecutorKind::Compiled,
-        "nest" => ExecutorKind::Nest,
-        other => {
-            eprintln!("--executor: `{other}` is not one of pipeline|functional|compiled|nest");
-            std::process::exit(2);
-        }
-    }
+    name.parse().unwrap_or_else(|e| {
+        eprintln!("--executor: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// What to print instead of running.
