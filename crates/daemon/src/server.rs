@@ -306,22 +306,40 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// A fatal accept-loop error (per-connection I/O errors only drop
-    /// that connection).
+    /// None at present: a failed accept (`ECONNABORTED`, `EMFILE`, ...)
+    /// is logged to stderr and the loop goes on, and per-connection I/O
+    /// errors only drop that connection.
     pub fn run(self) -> io::Result<()> {
-        let mut workers = Vec::new();
-        for conn in self.listener.incoming() {
-            if self.shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = conn?;
-            let shared = Arc::clone(&self.shared);
-            workers.push(thread::spawn(move || serve_connection(stream, &shared)));
-        }
-        for w in workers {
-            let _ = w.join();
-        }
+        accept_loop(self.listener.incoming(), &self.shared);
         Ok(())
+    }
+}
+
+/// The accept loop behind [`Daemon::run`], over any source of accepted
+/// connections: one thread per connection until `stop` is observed,
+/// then every worker still running is joined.
+fn accept_loop(conns: impl Iterator<Item = io::Result<TcpStream>>, shared: &Arc<Shared>) {
+    let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
+    for conn in conns {
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let stream = match conn {
+            Ok(stream) => stream,
+            Err(e) => {
+                eprintln!("zolcd: accept failed: {e}");
+                continue;
+            }
+        };
+        // The final join ignores exit statuses, so a finished worker's
+        // handle is dead weight: prune them to keep a long-lived
+        // daemon's list to the live connections.
+        workers.retain(|h| !h.is_finished());
+        let shared = Arc::clone(shared);
+        workers.push(thread::spawn(move || serve_connection(stream, &shared)));
+    }
+    for w in workers {
+        let _ = w.join();
     }
 }
 
@@ -523,6 +541,30 @@ mod tests {
 
         c.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_failed_accept_neither_ends_the_loop_nor_drops_later_clients() {
+        let daemon = Daemon::bind(&DaemonConfig::new()).unwrap();
+        let addr = daemon.local_addr();
+        let handle = thread::spawn(move || {
+            let aborted = io::Error::from(io::ErrorKind::ConnectionAborted);
+            let conns = std::iter::once(Err(aborted)).chain(daemon.listener.incoming());
+            accept_loop(conns, &daemon.shared);
+        });
+
+        // the first real connection comes after the failed accept
+        let mut c = Client::connect(addr).unwrap();
+        assert!(c.ping().unwrap());
+        let program = loop_program();
+        let config = ZolcConfig::lite();
+        assert_eq!(
+            c.retarget(&program, &config).unwrap(),
+            offline_retarget_response(&program, &config)
+        );
+
+        c.shutdown().unwrap();
+        handle.join().unwrap();
     }
 
     #[test]

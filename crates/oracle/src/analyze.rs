@@ -1285,6 +1285,7 @@ fn mat_powers(a: &Mat, n: u64) -> (Mat, Mat) {
 /// and the data segment at [`DATA_BASE`] (exactly the state every
 /// executor session starts from).
 pub fn summarize(program: &Program, mem_size: usize) -> Result<Summary, Unanalyzable> {
+    // Flat, not `zolc_sim::Memory`: the oracle shares no code with the simulator it checks.
     let mut mem = vec![0u8; mem_size];
     let text = program.text_bytes();
     let data = program.data();

@@ -25,7 +25,9 @@ use std::sync::Arc;
 /// Configuration of the simulated core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuConfig {
-    /// Memory size in bytes (must cover the data segment base).
+    /// Memory size in bytes (must cover the data segment base). A bound
+    /// only: memory is allocated a 4 KiB page at a time on first write,
+    /// so pages a program never touches cost nothing.
     pub mem_size: usize,
     /// Whether to collect a retire-order trace (costs memory).
     pub trace_retire: bool,
@@ -226,7 +228,7 @@ impl ExecutorKind {
     /// data segments written, pc at the start of text, zeroed registers
     /// and statistics. The program — including the compiled tiers'
     /// compile tables — is shared; the session is the cheap per-run
-    /// half.
+    /// half (its memory holds only the pages the segments occupy).
     ///
     /// # Errors
     ///

@@ -63,7 +63,8 @@
 //! [`ExecutorKind::new_session`] or the concrete `session`
 //! constructors. Compile once, run any number of concurrent sessions:
 //! the sweep harness and the `zolcd` job daemon are built on exactly
-//! this split.
+//! this split. Session memory is page-granular ([`Memory`]), so opening
+//! one costs the pages its segments occupy, not the configured size.
 //!
 //! # Examples
 //!
