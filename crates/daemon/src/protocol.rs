@@ -10,6 +10,12 @@
 //! A connection carries any number of frames back to back; a clean EOF
 //! between frames ends the conversation.
 //!
+//! A frame is sent in one write, and both ends set `TCP_NODELAY`. Under
+//! Nagle's algorithm a short segment queued behind an unacknowledged one
+//! waits for the peer's delayed ACK, about 40 ms: a prefix and payload
+//! written separately would pay that on every frame, and off loopback a
+//! frame longer than one segment could still pay it for its short tail.
+//!
 //! # Requests and responses
 //!
 //! A request is a JSON object with an `"op"` field:
@@ -60,10 +66,19 @@ pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// [`io::ErrorKind::UnexpectedEof`] when the stream ends mid-frame.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    match r.read(&mut len)? {
-        0 => return Ok(None),
-        n => r.read_exact(&mut len[n..])?,
+    // A signal landing on this first read is not an error (`read_exact`
+    // below already retries it); retry so an EINTR between frames does
+    // not end the conversation.
+    let n = loop {
+        match r.read(&mut len) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            read => break read?,
+        }
+    };
+    if n == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut len[n..])?;
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -76,7 +91,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in a single `write_all`.
+///
+/// Prefix and payload go out in one buffer: written separately, the
+/// payload would sit behind the prefix until the peer's delayed ACK
+/// (Nagle's algorithm), about 40 ms per frame.
 ///
 /// # Errors
 ///
@@ -92,8 +111,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -581,6 +602,67 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    /// A writer that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for len in [0, 1, 4 * 1024, 70 * 1024] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload took {} writes", w.writes);
+            let mut r = &w.bytes[..];
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+            assert_eq!(read_frame(&mut r).unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn an_interrupted_length_read_is_retried() {
+        /// Fails its first `read` with `Interrupted`, then reads `inner`.
+        struct InterruptOnce<'a> {
+            interrupted: bool,
+            inner: &'a [u8],
+        }
+
+        impl Read for InterruptOnce<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if !self.interrupted {
+                    self.interrupted = true;
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                self.inner.read(buf)
+            }
+        }
+
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"{\"op\":\"ping\"}").unwrap();
+        let mut r = InterruptOnce {
+            interrupted: false,
+            inner: &buf,
+        };
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"op\":\"ping\"}");
+        assert!(r.interrupted);
+        assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use zolc_bench::json::{self, Json};
 use zolc_bench::{run_sweep, SweepConfig};
@@ -307,13 +308,18 @@ impl Daemon {
     /// # Errors
     ///
     /// None at present: a failed accept (`ECONNABORTED`, `EMFILE`, ...)
-    /// is logged to stderr and the loop goes on, and per-connection I/O
-    /// errors only drop that connection.
+    /// is logged to stderr and the loop goes on after a short pause,
+    /// and per-connection I/O errors only drop that connection.
     pub fn run(self) -> io::Result<()> {
         accept_loop(self.listener.incoming(), &self.shared);
         Ok(())
     }
 }
+
+/// How long the accept loop waits after a failed accept. Errors such as
+/// `EMFILE` persist until some connection closes; without a pause the
+/// loop would spin on them and flood stderr.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// The accept loop behind [`Daemon::run`], over any source of accepted
 /// connections: one thread per connection until `stop` is observed,
@@ -328,6 +334,7 @@ fn accept_loop(conns: impl Iterator<Item = io::Result<TcpStream>>, shared: &Arc<
             Ok(stream) => stream,
             Err(e) => {
                 eprintln!("zolcd: accept failed: {e}");
+                thread::sleep(ACCEPT_BACKOFF);
                 continue;
             }
         };
@@ -347,6 +354,12 @@ fn accept_loop(conns: impl Iterator<Item = io::Result<TcpStream>>, shared: &Arc<
 /// fatal I/O error. On `shutdown` the reply is written first, then the
 /// accept loop is woken with a throwaway self-connection.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+    // Responses must not wait on the client's delayed ACK (see the
+    // protocol module's frame layout notes); `Client::connect` does the
+    // same on its end.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     while let Ok(Some(payload)) = read_frame(&mut stream) {
         let (response, shutdown) = shared.dispatch(&payload);
         if write_frame(&mut stream, &response).is_err() {
@@ -565,6 +578,79 @@ mod tests {
 
         c.shutdown().unwrap();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn every_failed_accept_backs_off_and_later_clients_are_still_served() {
+        const FAILURES: u32 = 5;
+        let daemon = Daemon::bind(&DaemonConfig::new()).unwrap();
+        let addr = daemon.local_addr();
+        let start = std::time::Instant::now();
+        let handle = thread::spawn(move || {
+            let errors = (0..FAILURES).map(|_| Err(io::Error::from(io::ErrorKind::Other)));
+            accept_loop(errors.chain(daemon.listener.incoming()), &daemon.shared);
+        });
+
+        // the connection waits in the backlog until every injected
+        // failure has been logged and slept off
+        let mut c = Client::connect(addr).unwrap();
+        assert!(c.ping().unwrap());
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed >= ACCEPT_BACKOFF * FAILURES,
+            "{FAILURES} failed accepts took only {elapsed:?}"
+        );
+        let program = loop_program();
+        let config = ZolcConfig::lite();
+        assert_eq!(
+            c.retarget(&program, &config).unwrap(),
+            offline_retarget_response(&program, &config)
+        );
+
+        c.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn round_trips_do_not_wait_on_delayed_acks() {
+        // One delayed ACK per round trip would cost at least 200 x 40 ms
+        // = 8 s; the bound leaves a wide margin for a loaded machine.
+        const PINGS: usize = 200;
+        const BOUND: Duration = Duration::from_secs(2);
+        let (addr, handle) = spawn_daemon();
+
+        let mut c = Client::connect(addr).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..PINGS {
+            assert!(c.ping().unwrap());
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < BOUND,
+            "{PINGS} pings on a Client took {elapsed:?}"
+        );
+
+        // A peer that keeps Nagle's algorithm on must not stall either:
+        // this is what a frame split over two writes would trip even
+        // with `TCP_NODELAY` on the server.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..PINGS {
+            write_frame(&mut raw, b"{\"op\":\"ping\"}").unwrap();
+            assert_eq!(
+                read_frame(&mut raw).unwrap().unwrap(),
+                ok_response("\"pong\"")
+            );
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < BOUND,
+            "{PINGS} pings without TCP_NODELAY took {elapsed:?}"
+        );
+        drop(raw);
+
+        c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
     }
 
     #[test]

@@ -8,7 +8,11 @@
 #      offline (`offline_retarget_response` / `offline_sweep_response`);
 #   3. assert the caches actually deduplicated work: 32 submitted jobs,
 #      at most 10 distinct, so hits must outnumber misses;
-#   4. shut the daemon down and require a clean exit.
+#   4. warm phase: one client sends 200 jobs over the now-populated key
+#      space and must finish within 4 s. Every one is a cache hit, so
+#      the time is wire time; a frame stalled on Nagle's algorithm and
+#      the peer's delayed ACK (~44 ms per job) would need at least 8.8 s;
+#   5. shut the daemon down and require a clean exit.
 #
 # Overlapping keys across clients are the point — they race the same
 # cold entries, so this also exercises the single-flight path under a
@@ -61,6 +65,13 @@ echo "== cache stats =="
             exit 1
         }
     }'
+
+echo "== warm phase: 200 cached jobs on one connection =="
+WARM_START=$(date +%s%N)
+"$CLIENT" --addr "$ADDR" jobs --seed 1 --count 200 >/dev/null
+WARM_MS=$(( ($(date +%s%N) - WARM_START) / 1000000 ))
+echo "200 warm jobs in ${WARM_MS} ms"
+[ "$WARM_MS" -le 4000 ] || { echo "warm jobs took ${WARM_MS} ms (limit 4000): round trips are stalling" >&2; exit 1; }
 
 echo "== shutdown =="
 "$CLIENT" --addr "$ADDR" shutdown
