@@ -22,12 +22,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::thread;
-use zolc_cfg::retarget;
 use zolc_core::ZolcConfig;
 use zolc_ir::{LoweredInfo, Target};
-use zolc_kernels::{build_kernel_auto, kernels, BuiltKernel, ExecutorKind, KernelEntry};
+use zolc_kernels::{
+    build_kernel_auto, kernels, AutoKernel, BuiltKernel, ExecutorKind, KernelEntry,
+};
 use zolc_lang::CompiledUnit;
-use zolc_sim::{CompiledProgram, Stats};
+use zolc_sim::Stats;
 
 /// Fuel budget (retired instructions — the one semantic shared by every
 /// executor, see [`zolc_sim::Executor::run`]) generous enough for every
@@ -183,30 +184,9 @@ fn build_cell(
             let Target::Zolc(config) = target else {
                 panic!("{name}: auto-retarget cells need a ZOLC target")
             };
-            let r = retarget(g.program.source(), config)
+            let a = AutoKernel::retarget(g.as_built(Target::Baseline), *config)
                 .unwrap_or_else(|e| panic!("{name}/{target} (auto): retarget failed: {e}"));
-            let stats = AutoStats::from(&r);
-            // The prepended init sequence clobbers the scratch register
-            // (chosen untouched by surviving code), which is the one
-            // permitted register difference besides the freed counters
-            // — drop it from the derived expectation, exactly as the
-            // root `prop_exec_equiv` contract does.
-            let mut expect = g.expect.clone();
-            if r.init_instructions > 0 {
-                expect.regs.retain(|(rg, _)| *rg != r.scratch);
-            }
-            let built = BuiltKernel {
-                name: g.name.clone(),
-                program: CompiledProgram::compile(r.program),
-                target: target.clone(),
-                expect,
-                info: LoweredInfo {
-                    image: Some(r.image),
-                    init_instructions: r.init_instructions,
-                    notes: r.notes,
-                },
-            };
-            (built, Some(stats))
+            (a.built, Some(a.stats))
         }
         (JobSource::Corpus(u), BuildMode::Lower) => (
             u.build(target)

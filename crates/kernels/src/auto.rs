@@ -38,8 +38,8 @@ pub struct AutoStats {
 }
 
 impl From<&Retargeted> for AutoStats {
-    /// The single derivation of retarget statistics, shared by the
-    /// kernel auto path and the bench matrix's generated-program cells.
+    /// The single derivation of retarget statistics, used by
+    /// [`AutoKernel::retarget`] and by callers that retarget by hand.
     fn from(r: &Retargeted) -> AutoStats {
         AutoStats {
             unhandled: r.unhandled.len(),
@@ -60,8 +60,54 @@ pub struct AutoKernel {
     pub stats: AutoStats,
 }
 
+impl AutoKernel {
+    /// Auto-retargets the baseline build `base` onto a ZOLC of
+    /// configuration `config`: the one step shared by every auto path
+    /// (registry kernels, generated programs, `zolc-lang` units).
+    ///
+    /// The prepended init sequence clobbers the retargeter's scratch
+    /// register (chosen untouched by surviving code) — the one permitted
+    /// register difference besides the freed counters — so it is dropped
+    /// from the expectation whenever an init sequence is emitted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::Retarget`] if the retargeter rejects the
+    /// binary.
+    pub fn retarget(base: BuiltKernel, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
+        let r = retarget(base.program.source(), &config)?;
+        let stats = AutoStats::from(&r);
+        let Retargeted {
+            program,
+            image,
+            init_instructions,
+            notes,
+            scratch,
+            ..
+        } = r;
+        let mut expect = base.expect;
+        if init_instructions > 0 {
+            expect.regs.retain(|(reg, _)| *reg != scratch);
+        }
+        Ok(AutoKernel {
+            built: BuiltKernel {
+                name: base.name,
+                program: CompiledProgram::compile(program),
+                target: Target::Zolc(config),
+                expect,
+                info: LoweredInfo {
+                    image: Some(image),
+                    init_instructions,
+                    notes,
+                },
+            },
+            stats,
+        })
+    }
+}
+
 /// Builds `entry` for [`Target::Baseline`] and auto-retargets the binary
-/// onto a ZOLC of configuration `config`.
+/// onto a ZOLC of configuration `config` ([`AutoKernel::retarget`]).
 ///
 /// # Errors
 ///
@@ -72,36 +118,14 @@ pub fn build_kernel_auto(
     entry: &KernelEntry,
     config: ZolcConfig,
 ) -> Result<AutoKernel, BuildError> {
-    let base = (entry.build)(&Target::Baseline)?;
-    let r = retarget(base.program.source(), &config)?;
-    let stats = AutoStats::from(&r);
-    let Retargeted {
-        program,
-        image,
-        init_instructions,
-        notes,
-        ..
-    } = r;
-    Ok(AutoKernel {
-        built: BuiltKernel {
-            name: base.name,
-            program: CompiledProgram::compile(program),
-            target: Target::Zolc(config),
-            expect: base.expect,
-            info: LoweredInfo {
-                image: Some(image),
-                init_instructions,
-                notes,
-            },
-        },
-        stats,
-    })
+    AutoKernel::retarget((entry.build)(&Target::Baseline)?, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::find_kernel;
+    use crate::{find_kernel, Expectation};
+    use zolc_isa::{assemble, reg, DATA_BASE};
     use zolc_sim::ExecutorKind;
 
     #[test]
@@ -131,5 +155,52 @@ mod tests {
             run.violations
         );
         assert!(run.stats.cycles > 0);
+    }
+
+    #[test]
+    fn retarget_drops_only_the_scratch_register_from_the_expectation() {
+        let program = assemble(
+            "
+            .data
+      out:  .space 4
+            .text
+            li   r11, 5
+      top:  addi r2, r2, 3
+            addi r11, r11, -1
+            bne  r11, r0, top
+            la   r3, out
+            sw   r2, 0(r3)
+            halt
+        ",
+        )
+        .unwrap();
+        let config = ZolcConfig::lite();
+        let probe = retarget(&program, &config).unwrap();
+        assert!(probe.init_instructions > 0);
+        let scratch = probe.scratch;
+        let kept = vec![(reg(2), 15), (reg(3), DATA_BASE)];
+        assert!(kept.iter().all(|(r, _)| *r != scratch));
+        let mem_words = vec![(DATA_BASE, vec![15])];
+        let mut regs = kept.clone();
+        regs.push((scratch, 0));
+        let base = BuiltKernel {
+            name: "acc".into(),
+            program: CompiledProgram::compile(program),
+            target: Target::Baseline,
+            expect: Expectation {
+                mem_words: mem_words.clone(),
+                regs,
+            },
+            info: LoweredInfo::default(),
+        };
+        let auto = AutoKernel::retarget(base, config).unwrap();
+        assert_eq!(auto.built.name, "acc");
+        assert_eq!(auto.built.target, Target::Zolc(config));
+        assert_eq!(auto.built.expect.regs, kept);
+        assert_eq!(auto.built.expect.mem_words, mem_words);
+        for kind in [ExecutorKind::CycleAccurate, ExecutorKind::Nest] {
+            let run = auto.built.run(1_000_000, kind).unwrap();
+            assert!(run.is_correct(), "{kind}: {:?}", run.mismatches);
+        }
     }
 }

@@ -64,11 +64,10 @@ pub use ast::{Diagnostic, Pos};
 pub use corpus::{corpus, find_corpus, CorpusEntry};
 
 use std::sync::Arc;
-use zolc_cfg::{retarget, Retargeted};
 use zolc_core::ZolcConfig;
-use zolc_ir::{lower_into, LoopIr, LoweredInfo, Target};
+use zolc_ir::{lower_into, LoopIr, Target};
 use zolc_isa::{Asm, Instr, Reg};
-use zolc_kernels::{AutoKernel, AutoStats, BuildError, BuiltKernel, Expectation};
+use zolc_kernels::{AutoKernel, BuildError, BuiltKernel, Expectation};
 use zolc_sim::CompiledProgram;
 
 /// A compiled program: IR plus everything needed to emit and judge
@@ -201,30 +200,7 @@ impl CompiledUnit {
     /// Propagates baseline [`BuildError`]s and
     /// [`BuildError::Retarget`] if the retargeter rejects the binary.
     pub fn build_auto(&self, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
-        let base = self.build(&Target::Baseline)?;
-        let r = retarget(base.program.source(), &config)?;
-        let stats = AutoStats::from(&r);
-        let Retargeted {
-            program,
-            image,
-            init_instructions,
-            notes,
-            ..
-        } = r;
-        Ok(AutoKernel {
-            built: BuiltKernel {
-                name: base.name,
-                program: CompiledProgram::compile(program),
-                target: Target::Zolc(config),
-                expect: base.expect,
-                info: LoweredInfo {
-                    image: Some(image),
-                    init_instructions,
-                    notes,
-                },
-            },
-            stats,
-        })
+        AutoKernel::retarget(self.build(&Target::Baseline)?, config)
     }
 }
 

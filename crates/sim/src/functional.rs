@@ -21,8 +21,8 @@
 //! see [`LoopEngine::is_passive`]) the hook calls vanish statically and
 //! it executes ~3–5× more instructions per second than the pipeline;
 //! with a ZOLC controller attached the controller model dominates both
-//! executors and the gain is ~1.5× (`cargo bench --bench sim_throughput`
-//! tracks the ratio per cell).
+//! executors and the gain is ~1.5× (a traced `perfbench` `fig2_kernels`
+//! run reports both as `sim.exec_ns_per_instr.{pipeline,functional}.*`).
 //!
 //! # Engine-driving contract
 //!
