@@ -24,9 +24,7 @@ use std::sync::Mutex;
 use std::thread;
 use zolc_core::ZolcConfig;
 use zolc_ir::{LoweredInfo, Target};
-use zolc_kernels::{
-    build_kernel_auto, kernels, AutoKernel, BuiltKernel, ExecutorKind, KernelEntry,
-};
+use zolc_kernels::{build_kernel_auto, kernels, BuiltKernel, ExecutorKind, KernelEntry};
 use zolc_lang::CompiledUnit;
 use zolc_sim::Stats;
 
@@ -184,7 +182,8 @@ fn build_cell(
             let Target::Zolc(config) = target else {
                 panic!("{name}: auto-retarget cells need a ZOLC target")
             };
-            let a = AutoKernel::retarget(g.as_built(Target::Baseline), *config)
+            let a = g
+                .build_auto(*config)
                 .unwrap_or_else(|e| panic!("{name}/{target} (auto): retarget failed: {e}"));
             (a.built, Some(a.stats))
         }

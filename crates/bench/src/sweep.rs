@@ -11,7 +11,9 @@
 //! * one **baseline** cell (the software-loop program as-is, the cycle
 //!   reference), and
 //! * one **auto-retarget** cell per controller configuration (the same
-//!   binary excised and overlaid by `zolc_cfg::retarget`).
+//!   binary excised and overlaid by the retargeter: the program's
+//!   `zolc_cfg::RetargetPlan` is built once, while the program is
+//!   generated, and each configuration's cell instantiates it).
 //!
 //! Every cell — thousands per sweep — is gated on bit-exact equivalence
 //! with the program's derived reference expectation *and* on an empty
@@ -28,11 +30,12 @@ use crate::matrix::{par_map, BuildMode, JobMatrix, MAX_FUEL};
 use crate::table::render_table;
 use std::fmt;
 use std::sync::Arc;
+use zolc_cfg::{RetargetError, RetargetPlan};
 use zolc_core::ZolcConfig;
 use zolc_gen::{Feature, GenConfig, ProgramSpec};
 use zolc_ir::Target;
 use zolc_isa::{reg, DATA_BASE};
-use zolc_kernels::Expectation;
+use zolc_kernels::{AutoKernel, BuildError, Expectation};
 use zolc_sim::{run_session, CompiledProgram, ExecutorKind, NullEngine};
 
 /// A generated baseline program, assembled once and shared by every
@@ -64,6 +67,11 @@ pub struct GeneratedProgram {
     pub loop_starts: Vec<u32>,
     /// The derived reference expectation every cell is gated on.
     pub expect: Expectation,
+    /// The baseline binary's retarget analysis, shared by every
+    /// auto-retarget cell of the program (`None` until
+    /// [`Self::with_retarget_plan`]; the error if the retargeter rejects
+    /// the binary).
+    pub plan: Option<Result<RetargetPlan, RetargetError>>,
 }
 
 impl GeneratedProgram {
@@ -105,6 +113,33 @@ impl GeneratedProgram {
                 mem_words: vec![(DATA_BASE, words)],
                 regs,
             },
+            plan: None,
+        }
+    }
+
+    /// Runs the baseline binary's retarget analysis once, for every
+    /// [`Self::build_auto`] to instantiate.
+    #[must_use]
+    pub fn with_retarget_plan(mut self) -> GeneratedProgram {
+        self.plan = Some(RetargetPlan::analyze(Arc::clone(self.program.source())));
+        self
+    }
+
+    /// Auto-retargets the baseline program onto a ZOLC of configuration
+    /// `config` (used by the matrix's `BuildMode::AutoRetarget` cells),
+    /// instantiating the shared plan when [`Self::with_retarget_plan`]
+    /// built one and analysing the binary afresh otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::Retarget`] if the retargeter rejects the
+    /// binary or cannot fit it to `config`.
+    pub fn build_auto(&self, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
+        let base = self.as_built(Target::Baseline);
+        match &self.plan {
+            Some(Ok(plan)) => AutoKernel::instantiate(plan, base, config),
+            Some(Err(e)) => Err(BuildError::Retarget(e.clone())),
+            None => AutoKernel::retarget(base, config),
         }
     }
 
@@ -332,12 +367,19 @@ pub struct SweepReport {
 /// disagrees with `zolc_gen`'s handledness prediction.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     // generation + reference runs are per-seed independent — spread
-    // them over the same parallelism the cell matrix uses below
+    // them over the same parallelism the cell matrix uses below; each
+    // program's retarget analysis runs here too, once, and every
+    // configuration's cell instantiates it
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let generated: Vec<Arc<GeneratedProgram>> = par_map(cfg.programs, threads, |i| {
         let seed = cfg.base_seed + i as u64;
         let spec = ProgramSpec::generate(seed, &cfg.gen);
-        Arc::new(GeneratedProgram::from_spec(format!("gen{seed:05}"), spec))
+        let g = GeneratedProgram::from_spec(format!("gen{seed:05}"), spec);
+        Arc::new(if cfg.points.is_empty() {
+            g
+        } else {
+            g.with_retarget_plan()
+        })
     });
 
     let mut matrix = JobMatrix::new();
@@ -591,6 +633,29 @@ mod tests {
     #[should_panic(expected = "ZOLC_E7_PROGRAMS must be >= 1")]
     fn programs_knob_rejects_zero_loudly() {
         parse_programs_knob("0");
+    }
+
+    #[test]
+    fn rejected_binary_fails_its_cells_with_the_retarget_message() {
+        // a binary the analysis rejects fails its auto-retarget cells
+        // with the same message whether or not a plan was built first
+        let mut g =
+            GeneratedProgram::from_spec("bad", ProgramSpec::generate(7, &GenConfig::default()));
+        g.program = CompiledProgram::compile(zolc_isa::assemble("jal f\nf: halt").unwrap());
+        let lite = ZolcConfig::lite();
+        let fresh = g.build_auto(lite).unwrap_err().to_string();
+        let g = g.with_retarget_plan();
+        assert!(matches!(g.plan, Some(Err(_))));
+        assert_eq!(g.build_auto(lite).unwrap_err().to_string(), fresh);
+
+        let target = Target::Zolc(lite);
+        let mut m = JobMatrix::new();
+        m.push_generated(Arc::new(g), target.clone(), BuildMode::AutoRetarget);
+        let panic = std::panic::catch_unwind(|| m.run_threads(1)).unwrap_err();
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some(format!("bad/{target} (auto): retarget failed: {fresh}").as_str())
+        );
     }
 
     #[test]

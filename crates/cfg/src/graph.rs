@@ -209,7 +209,13 @@ impl Cfg {
     /// assert!(sol.block_in[1].contains(zolc_isa::reg(1)), "counter live in the loop");
     /// ```
     pub fn flow(&self, program: &Program) -> zolc_analyze::FlowGraph {
-        let text = program.text();
+        self.flow_over(program.text())
+    }
+
+    /// [`Self::flow`] over a text segment with this CFG's blocks and
+    /// edges — the program's own, or a rewrite that keeps every control
+    /// transfer in place.
+    pub(crate) fn flow_over(&self, text: &[Instr]) -> zolc_analyze::FlowGraph {
         let blocks = self
             .blocks
             .iter()

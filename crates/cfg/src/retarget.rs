@@ -5,17 +5,29 @@
 //! from an `XRdefault`- (or `XRhrdwil`-) lowered [`Program`], [`retarget`]
 //!
 //! 1. runs the CFG / dominator / loop-forest analyses and
-//!    [`detect_counted_loops`](crate::detect_counted_loops);
-//! 2. **excises** the software loop control of every handled loop — the
+//!    [`detect_counted_loops`](crate::detect_counted_loops), then the
+//!    handledness fixpoint that decides which counted loops can leave
+//!    software at all;
+//! 2. trims that set to the controller configuration's capacity;
+//! 3. **excises** the software loop control of every handled loop — the
 //!    preheader trip-count load, the latch decrement and backward branch
 //!    (or the fused `dbnz`) — while leaving unhandled loops entirely in
 //!    software;
-//! 3. **compacts and relocates** the surviving text, re-linking every
+//! 4. **compacts and relocates** the surviving text, re-linking every
 //!    surviving branch and jump through assembler labels;
-//! 4. **synthesizes** the [`ZolcImage`] against the relocated addresses
+//! 5. **synthesizes** the [`ZolcImage`] against the relocated addresses
 //!    and prepends its initialization-mode sequence, yielding a runnable,
 //!    self-initializing program whose loop control now lives in the
 //!    controller.
+//!
+//! # Analyse once, instantiate per configuration
+//!
+//! Only steps 2–5 read the [`ZolcConfig`]. [`RetargetPlan::analyze`]
+//! runs step 1 (plus the input screening) once per program, and
+//! [`RetargetPlan::instantiate`] runs steps 2–5 for one configuration;
+//! a plan can be instantiated any number of times, from any number of
+//! threads. [`retarget`] is the composition of the two stages for a
+//! single configuration, with the same result.
 //!
 //! The result is *architecturally equivalent* to the input: final data
 //! memory and every register except the freed down-counters (and the
@@ -42,8 +54,9 @@
 //! # Unsupported inputs
 //!
 //! Programs containing `jal`/`jr` (relocation would change link values
-//! and indirect targets) or pre-existing `zwr`/`zctl` instructions are
-//! rejected with [`RetargetError::Unsupported`].
+//! and indirect targets) or pre-existing `zwr`/`zctl` instructions, and
+//! programs with an empty text segment, are rejected with
+//! [`RetargetError::Unsupported`] by the analysis stage.
 
 use crate::detect::{detect_counted_loops, plan_task_chain, CountedLoop};
 use crate::dom::Dominators;
@@ -52,7 +65,7 @@ use crate::loops::LoopForest;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-use zolc_analyze::{reachable_blocks, solve, Liveness, RegSet};
+use zolc_analyze::{solve, Liveness, RegSet};
 use zolc_core::{ImageError, LimitSrc, LoopSpec, TaskSpec, ZolcConfig, ZolcImage};
 use zolc_isa::{
     loop_field, Asm, AsmError, Instr, Label, Program, Reg, ZolcRegion, DATA_BASE, INSTR_BYTES,
@@ -215,9 +228,113 @@ fn static_target(instr: &Instr, pc: u32) -> Option<u32> {
 /// assert!(!tail.iter().any(|i| i.is_cond_branch()));
 /// ```
 pub fn retarget(program: &Program, config: &ZolcConfig) -> Result<Retargeted, RetargetError> {
+    instantiate(program, &analyze(program)?, config)
+}
+
+/// A program's configuration-independent retargeting analysis, built
+/// once and instantiated on any number of controller configurations.
+///
+/// [`RetargetPlan::analyze`] screens the input and runs the CFG,
+/// dominator, loop-forest and counted-loop analyses and the handledness
+/// fixpoint; [`RetargetPlan::instantiate`] does the per-configuration
+/// rest (capacity trim, excision, relocation, image synthesis and
+/// validation). For every configuration `c`,
+/// `RetargetPlan::analyze(p)?.instantiate(&c)` equals
+/// [`retarget(&p, &c)`](retarget).
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use zolc_cfg::{retarget, RetargetPlan};
+/// use zolc_core::ZolcConfig;
+///
+/// let program = Arc::new(zolc_isa::assemble("
+///     li   r11, 3
+/// oth: li   r12, 4
+/// inh: add  r2, r2, r3
+///     addi r12, r12, -1
+///     bne  r12, r0, inh
+///     addi r11, r11, -1
+///     bne  r11, r0, oth
+///     halt
+/// ").unwrap());
+/// let plan = RetargetPlan::analyze(Arc::clone(&program)).unwrap();
+/// let lite = plan.instantiate(&ZolcConfig::lite()).unwrap();
+/// let micro = plan.instantiate(&ZolcConfig::micro()).unwrap();
+/// assert_eq!(lite.counted.len(), 2);
+/// assert!(micro.counted.is_empty(), "uZOLC holds no nests");
+/// let direct = retarget(&program, &ZolcConfig::lite()).unwrap();
+/// assert_eq!(lite.program, direct.program);
+/// assert_eq!(lite.notes, direct.notes);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RetargetPlan {
+    program: Arc<Program>,
+    analysis: Analysis,
+}
+
+impl RetargetPlan {
+    /// Runs the configuration-independent analyses over `program`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RetargetError::Unsupported`] for an empty text segment
+    /// and for programs using `jal`/`jr` or pre-existing ZOLC
+    /// instructions — the same message [`retarget`] gives.
+    pub fn analyze(program: Arc<Program>) -> Result<RetargetPlan, RetargetError> {
+        let analysis = analyze(&program)?;
+        Ok(RetargetPlan { program, analysis })
+    }
+
+    /// Retargets the analysed program onto a ZOLC of configuration
+    /// `config`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RetargetError::Image`] if the synthesized overlay fails
+    /// validation against `config`, and [`RetargetError::Unsupported`] or
+    /// [`RetargetError::Asm`] if the excised text cannot be relocated
+    /// (see [`retarget`]).
+    pub fn instantiate(&self, config: &ZolcConfig) -> Result<Retargeted, RetargetError> {
+        instantiate(&self.program, &self.analysis, config)
+    }
+
+    /// The CFG of the analysed program — also the CFG of
+    /// [`Self::virtual_program`], which the handledness fixpoint runs
+    /// its liveness and reachability queries over.
+    pub fn cfg(&self) -> &Cfg {
+        &self.analysis.cfg
+    }
+
+    /// The virtual post-excision program of the loops that survived the
+    /// handledness fixpoint (before any capacity trim): every address
+    /// kept 1:1, excised latches as `beq r0, r0, off`, register-limit
+    /// copies as the `zwr` that replaces them, every other excised
+    /// instruction as `nop`. Its CFG equals [`Self::cfg`].
+    pub fn virtual_program(&self) -> Program {
+        let (vtext, _) = virtual_text(self.program.text(), &self.analysis.handled);
+        Program::from_parts(vtext, Vec::new())
+    }
+}
+
+/// The configuration-independent facts a [`RetargetPlan`] holds.
+#[derive(Debug, Clone)]
+struct Analysis {
+    cfg: Cfg,
+    forest: LoopForest,
+    /// The counted loops the handledness fixpoint keeps, in detection
+    /// (forest) order.
+    handled: Vec<CountedLoop>,
+    /// The fixpoint's notes, in the order it made them.
+    notes: Vec<String>,
+}
+
+/// Screens `program` and runs every configuration-independent
+/// analysis over it.
+fn analyze(program: &Program) -> Result<Analysis, RetargetError> {
     let text = program.text();
-    let n = text.len();
-    if n == 0 {
+    if text.is_empty() {
         return Err(RetargetError::Unsupported("empty text segment".into()));
     }
     for (i, instr) in text.iter().enumerate() {
@@ -237,8 +354,32 @@ pub fn retarget(program: &Program, config: &ZolcConfig) -> Result<Retargeted, Re
     let forest = LoopForest::analyze(&cfg, &dom);
     let all = detect_counted_loops(program, &cfg, &forest);
     let mut notes = Vec::new();
+    let handled = filter_handled(text, &cfg, &forest, &all, &mut notes);
+    Ok(Analysis {
+        cfg,
+        forest,
+        handled,
+        notes,
+    })
+}
 
-    let mut handled = filter_handled(program, &cfg, &forest, &all, config, &mut notes);
+/// Retargets `program` onto a ZOLC of configuration `config`, given
+/// the program's configuration-independent `analysis`.
+fn instantiate(
+    program: &Program,
+    analysis: &Analysis,
+    config: &ZolcConfig,
+) -> Result<Retargeted, RetargetError> {
+    let Analysis {
+        cfg,
+        forest,
+        handled,
+        notes,
+    } = analysis;
+    let text = program.text();
+    let n = text.len();
+    let mut notes = notes.clone();
+    let mut handled = trim_to_capacity(cfg, forest, handled.clone(), config, &mut notes);
     let unhandled: Vec<usize> = forest
         .loops
         .iter()
@@ -434,7 +575,7 @@ pub fn retarget(program: &Program, config: &ZolcConfig) -> Result<Retargeted, Re
     }
 
     // ---- overlay synthesis --------------------------------------------
-    let chain = plan_task_chain(&cfg, &forest, &handled);
+    let chain = plan_task_chain(cfg, forest, &handled);
     let image = ZolcImage {
         loops: handled
             .iter()
@@ -540,17 +681,90 @@ pub fn retarget(program: &Program, config: &ZolcConfig) -> Result<Retargeted, Re
     })
 }
 
+/// The virtual post-excision text for a set of handled loops, and the
+/// mask of the instruction indices their excision removes.
+///
+/// It is the text the surviving software plus the controller's
+/// contribution amounts to, with every address preserved 1:1 so
+/// dataflow facts map straight back. Excised latch branches keep their
+/// control flow — the hardware back edge still iterates the body — as
+/// `beq r0, r0, off`; register-limit copies become the `zwr` that
+/// replaces them (still reading the bound source); every other excised
+/// instruction becomes `nop`. Excised instructions other than the
+/// latch branches are never control transfers, so the virtual text has
+/// the original's leaders, blocks and edges: its CFG is the original
+/// [`Cfg`] (the root `retarget_plan` suite checks this). That CFG keeps
+/// each excised latch's fall-through edge although the rewritten branch
+/// is always taken; a path the machine never takes only adds liveness,
+/// so this is conservative.
+fn virtual_text(text: &[Instr], handled: &[CountedLoop]) -> (Vec<Instr>, Vec<bool>) {
+    let mut dropped = vec![false; text.len()];
+    for c in handled {
+        for a in excised_addrs(c) {
+            dropped[text_idx(a)] = true;
+        }
+    }
+    let mut vtext: Vec<Instr> = text
+        .iter()
+        .zip(&dropped)
+        .map(|(&instr, &d)| if d { Instr::Nop } else { instr })
+        .collect();
+    for c in handled {
+        let i = text_idx(c.branch_addr);
+        if let Some(off) = text[i].branch_off() {
+            vtext[i] = Instr::Beq {
+                rs: Reg::ZERO,
+                rt: Reg::ZERO,
+                off,
+            };
+        }
+        if let Some(rl) = c.limit_reg {
+            vtext[text_idx(rl.addr)] = Instr::Zwr {
+                region: ZolcRegion::Loop,
+                index: 0,
+                field: loop_field::LIMIT,
+                rs: rl.reg,
+            };
+        }
+    }
+    (vtext, dropped)
+}
+
+/// Whether the surviving control transfer at `pc` (to `target`, `None`
+/// when indirect) is compatible with hardware loop `c`.
+///
+/// The controller visits hardware loops strictly in task-chain order,
+/// one end-fetch per iteration, so every surviving *reachable* control
+/// transfer must either stay entirely inside a loop's region or entirely
+/// on one side of it — a branch *into*, *out of*, or *over* the region
+/// would desync the chain (the loop's end would be skipped or re-entered
+/// out of order), while a branch the excised program can never execute
+/// cannot. Additionally, for `addi`+`bne` latches a branch targeting the
+/// latch branch itself skips the decrement in the original, which no
+/// pure hardware counter can reproduce.
+fn cf_compatible(c: &CountedLoop, pc: u32, target: Option<u32>) -> bool {
+    let Some(t) = target else {
+        return false;
+    };
+    if !c.via_dbnz && t == c.branch_addr {
+        return false;
+    }
+    let region = c.start..=c.branch_addr;
+    let (in_s, in_t) = (region.contains(&pc), region.contains(&t));
+    in_s == in_t && (in_s || !(pc.min(t) < c.start && pc.max(t) > c.branch_addr))
+}
+
 /// Filters the detected counted loops down to the ones the retargeter can
-/// safely move into hardware (see the module docs for the rules).
+/// safely move into hardware on a controller of unbounded capacity (see
+/// the module docs for the rules; [`trim_to_capacity`] fits the result
+/// to a configuration).
 fn filter_handled(
-    program: &Program,
+    text: &[Instr],
     cfg: &Cfg,
     forest: &LoopForest,
     all: &[CountedLoop],
-    config: &ZolcConfig,
     notes: &mut Vec<String>,
 ) -> Vec<CountedLoop> {
-    let text = program.text();
     let n = text.len();
 
     // baseline eligibility: a visible bound and a contiguous body
@@ -567,17 +781,29 @@ fn filter_handled(
         .cloned()
         .collect();
 
+    // Every virtual text has `cfg` as its CFG (see `virtual_text`), so
+    // reachability is the same in every iteration: compute it once, per
+    // instruction.
+    let mut reachable = vec![false; n];
+    for b in cfg.reachable() {
+        let blk = &cfg.blocks()[b];
+        reachable[text_idx(blk.start)..text_idx(blk.end)].fill(true);
+    }
+
     // fixpoint: software ancestors pull their descendants back to
     // software, surviving control flow must stay compatible with every
     // hardware loop region, and loops whose counter is still used by
     // surviving code cannot lose their counter updates
     loop {
-        let ids: BTreeSet<usize> = handled.iter().map(|c| c.loop_id).collect();
+        let mut ids = vec![false; forest.loops.len()];
+        for c in &handled {
+            ids[c.loop_id] = true;
+        }
         let before = handled.len();
         handled.retain(|c| {
             let mut anc = forest.loops[c.loop_id].parent;
             while let Some(a) = anc {
-                if !ids.contains(&a) {
+                if !ids[a] {
                     return false;
                 }
                 anc = forest.loops[a].parent;
@@ -585,98 +811,30 @@ fn filter_handled(
             true
         });
 
-        let mut dropped = vec![false; n];
-        for c in &handled {
-            for a in excised_addrs(c) {
-                dropped[text_idx(a)] = true;
-            }
-        }
-
-        // The *virtual post-excision program*: the text the surviving
-        // software plus the controller's contribution amounts to, with
-        // every address preserved 1:1 so dataflow facts map straight
-        // back. Excised latch branches keep their control flow — the
-        // hardware back edge still iterates the body — as operand-free
-        // always-taken branches; register-limit copies become the
-        // `zwr` that replaces them (still reading the bound source);
-        // every other excised instruction becomes `nop`. Liveness and
-        // reachability over this program answer exactly the questions
-        // the excised machine poses.
-        let mut vtext = text.to_vec();
-        for (i, d) in dropped.iter().enumerate() {
-            if *d {
-                vtext[i] = Instr::Nop;
-            }
-        }
-        for c in &handled {
-            let i = text_idx(c.branch_addr);
-            if let Instr::Beq { off, .. }
-            | Instr::Bne { off, .. }
-            | Instr::Blez { off, .. }
-            | Instr::Bgtz { off, .. }
-            | Instr::Bltz { off, .. }
-            | Instr::Bgez { off, .. }
-            | Instr::Dbnz { off, .. } = text[i]
-            {
-                vtext[i] = Instr::Beq {
-                    rs: Reg::ZERO,
-                    rt: Reg::ZERO,
-                    off,
-                };
-            }
-            if let Some(rl) = c.limit_reg {
-                vtext[text_idx(rl.addr)] = Instr::Zwr {
-                    region: ZolcRegion::Loop,
-                    index: 0,
-                    field: loop_field::LIMIT,
-                    rs: rl.reg,
-                };
-            }
-        }
-        let vprog = Program::from_parts(vtext.clone(), Vec::new());
-        let vflow = Cfg::build(&vprog).flow(&vprog);
+        // Liveness over the virtual post-excision program answers
+        // exactly the questions the excised machine poses.
+        let (vtext, dropped) = virtual_text(text, &handled);
         let live = solve(
-            &vflow,
+            &cfg.flow_over(&vtext),
             &Liveness {
                 at_exit: RegSet::EMPTY,
             },
         );
-        let reachable = reachable_blocks(&vflow);
-        let reachable_pc = |pc: u32| vflow.block_of(pc).map(|b| reachable[b]).unwrap_or(false);
 
-        // Control-flow compatibility: the controller visits hardware
-        // loops strictly in task-chain order, one end-fetch per
-        // iteration, so every surviving *reachable* control transfer
-        // must either stay entirely inside a loop's region or entirely
-        // on one side of it — a branch *into*, *out of*, or *over* the
-        // region would desync the chain (the loop's end would be
-        // skipped or re-entered out of order), while a branch the
-        // excised program can never execute cannot. Additionally, for
-        // `addi`+`bne` latches a branch targeting the latch branch
-        // itself skips the decrement in the original, which no pure
-        // hardware counter can reproduce.
-        let cf_compatible = |c: &CountedLoop, dropped: &[bool]| -> bool {
-            (0..n).all(|i| {
-                if dropped[i] {
-                    return true;
-                }
-                let pc = TEXT_BASE + INSTR_BYTES * i as u32;
-                if !reachable_pc(pc) {
-                    return true;
-                }
-                let Some(t) = static_target(&text[i], pc) else {
-                    return !text[i].is_control_flow();
-                };
-                if !c.via_dbnz && t == c.branch_addr {
-                    return false;
-                }
-                let region = c.start..=c.branch_addr;
-                let (in_s, in_t) = (region.contains(&pc), region.contains(&t));
-                in_s == in_t && (in_s || !(pc.min(t) < c.start && pc.max(t) > c.branch_addr))
-            })
-        };
+        // Control-flow compatibility (see `cf_compatible`): one pass
+        // over the surviving reachable control transfers, each checked
+        // against every handled region.
+        let mut crosses = vec![false; handled.len()];
+        for i in (0..n).filter(|&i| !dropped[i] && reachable[i] && text[i].is_control_flow()) {
+            let pc = TEXT_BASE + INSTR_BYTES * i as u32;
+            let target = static_target(&text[i], pc);
+            for (k, c) in handled.iter().enumerate() {
+                crosses[k] |= !cf_compatible(c, pc, target);
+            }
+        }
+        let mut crosses = crosses.into_iter();
         handled.retain(|c| {
-            let ok = cf_compatible(c, &dropped);
+            let ok = !crosses.next().expect("one verdict per handled loop");
             if !ok {
                 notes.push(format!(
                     "loop at {:#x}: surviving control flow crosses the loop region",
@@ -709,17 +867,15 @@ fn filter_handled(
         //    loop (the old scan's false positive) no longer
         //    disqualifies it.
         let counter_free = |c: &CountedLoop| -> bool {
-            let region = c.start..=c.branch_addr;
-            let region_clean = vtext.iter().enumerate().all(|(i, instr)| {
-                let pc = TEXT_BASE + INSTR_BYTES * i as u32;
-                !region.contains(&pc)
-                    || !reachable_pc(pc)
+            let region_clean = (text_idx(c.start)..=text_idx(c.branch_addr)).all(|i| {
+                let instr = vtext[i];
+                !reachable[i]
                     || (instr.dst() != Some(c.counter)
                         && !instr.srcs().iter().flatten().any(|&s| s == c.counter))
             });
-            let live_at_exit = vflow
-                .block_of(c.branch_addr + INSTR_BYTES)
-                .is_some_and(|b| live.block_in[b].contains(c.counter));
+            let live_at_exit = cfg
+                .block_containing(c.branch_addr + INSTR_BYTES)
+                .is_some_and(|b| live.block_in[b.id].contains(c.counter));
             region_clean && !live_at_exit
         };
         handled.retain(|c| {
@@ -736,7 +892,17 @@ fn filter_handled(
             break;
         }
     }
+    handled
+}
 
+/// Trims the fixpoint's handled loops to what `config` can hold.
+fn trim_to_capacity(
+    cfg: &Cfg,
+    forest: &LoopForest,
+    mut handled: Vec<CountedLoop>,
+    config: &ZolcConfig,
+    notes: &mut Vec<String>,
+) -> Vec<CountedLoop> {
     // capacity: whole top-level trees are trimmed (last in execution
     // order first) until the configuration fits
     let top_trees = |handled: &[CountedLoop]| -> Vec<usize> {
@@ -1360,16 +1526,38 @@ mod tests {
 
     #[test]
     fn jr_and_zolc_instructions_rejected() {
-        let p = assemble("jr r31\nhalt").unwrap();
-        assert!(matches!(
-            retarget(&p, &ZolcConfig::lite()),
-            Err(RetargetError::Unsupported(_))
-        ));
-        let p = assemble("zctl.rst\nhalt").unwrap();
-        assert!(matches!(
-            retarget(&p, &ZolcConfig::lite()),
-            Err(RetargetError::Unsupported(_))
-        ));
+        // the analysis stage rejects each input with the same message as
+        // the one-shot path
+        let cases = [
+            (
+                "jal f\nf: halt",
+                "jal/jr (relocation changes link values) at 0x0",
+            ),
+            (
+                "li r2, 1\njr r31\nhalt",
+                "jal/jr (relocation changes link values) at 0x4",
+            ),
+            (
+                "zwr loop, 0, 2, r3\nhalt",
+                "pre-existing ZOLC instructions at 0x0",
+            ),
+            ("zctl.rst\nhalt", "pre-existing ZOLC instructions at 0x0"),
+        ];
+        let programs = cases
+            .iter()
+            .map(|(src, msg)| (assemble(src).unwrap(), *msg))
+            .chain([(Program::from_parts(vec![], vec![]), "empty text segment")]);
+        for (p, msg) in programs {
+            let expected = Err(RetargetError::Unsupported(msg.into()));
+            for config in [ZolcConfig::lite(), ZolcConfig::micro()] {
+                assert_eq!(retarget(&p, &config).map(|_| ()), expected);
+            }
+            assert_eq!(
+                RetargetPlan::analyze(Arc::new(p)).map(|_| ()),
+                expected,
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 
 use crate::common::{BuildError, BuiltKernel};
 use crate::KernelEntry;
-use zolc_cfg::{retarget, Retargeted};
+use std::sync::Arc;
+use zolc_cfg::{RetargetPlan, Retargeted};
 use zolc_core::ZolcConfig;
 use zolc_ir::{LoweredInfo, Target};
 use zolc_sim::CompiledProgram;
@@ -62,8 +63,24 @@ pub struct AutoKernel {
 
 impl AutoKernel {
     /// Auto-retargets the baseline build `base` onto a ZOLC of
-    /// configuration `config`: the one step shared by every auto path
-    /// (registry kernels, generated programs, `zolc-lang` units).
+    /// configuration `config`: analyses the binary, then
+    /// [`AutoKernel::instantiate`]s the analysis. The one step shared by
+    /// every auto path (registry kernels, generated programs, `zolc-lang`
+    /// units).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::Retarget`] if the retargeter rejects the
+    /// binary.
+    pub fn retarget(base: BuiltKernel, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
+        let plan = RetargetPlan::analyze(Arc::clone(base.program.source()))?;
+        AutoKernel::instantiate(&plan, base, config)
+    }
+
+    /// Builds the auto-retargeted kernel for `config` from `plan`, the
+    /// retarget analysis of `base`'s binary — callers that retarget one
+    /// binary onto several configurations analyse it once and
+    /// instantiate it per configuration.
     ///
     /// The prepended init sequence clobbers the retargeter's scratch
     /// register (chosen untouched by surviving code) — the one permitted
@@ -72,10 +89,14 @@ impl AutoKernel {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::Retarget`] if the retargeter rejects the
-    /// binary.
-    pub fn retarget(base: BuiltKernel, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
-        let r = retarget(base.program.source(), &config)?;
+    /// Returns [`BuildError::Retarget`] if the plan cannot be
+    /// instantiated on `config`.
+    pub fn instantiate(
+        plan: &RetargetPlan,
+        base: BuiltKernel,
+        config: ZolcConfig,
+    ) -> Result<AutoKernel, BuildError> {
+        let r = plan.instantiate(&config)?;
         let stats = AutoStats::from(&r);
         let Retargeted {
             program,
@@ -125,6 +146,7 @@ pub fn build_kernel_auto(
 mod tests {
     use super::*;
     use crate::{find_kernel, Expectation};
+    use zolc_cfg::retarget;
     use zolc_isa::{assemble, reg, DATA_BASE};
     use zolc_sim::ExecutorKind;
 

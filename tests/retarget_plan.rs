@@ -7,10 +7,16 @@
 //! covers every field of every `Retargeted` (or the error message), so
 //! any drift in a mapping decision, the emitted text, the image or a
 //! note string fails here under the family's name.
+//!
+//! Both `retarget(p, c)` and `RetargetPlan::analyze(p)?.instantiate(c)`
+//! must reproduce the pinned digests; a plan must give the same results
+//! whatever order and from however many threads it is instantiated; and
+//! the CFG the plan's handledness fixpoint reuses must be the CFG of its
+//! virtual post-excision program.
 
 use std::sync::Arc;
 use zolc::bench::SweepConfig;
-use zolc::cfg::{retarget, RetargetError, Retargeted};
+use zolc::cfg::{retarget, Cfg, RetargetError, RetargetPlan, Retargeted};
 use zolc::core::ZolcConfig;
 use zolc::gen::ProgramSpec;
 use zolc::ir::Target;
@@ -140,13 +146,31 @@ fn retarget_digests(f: &Family) -> Vec<u64> {
         .collect()
 }
 
-/// `retarget` output on the family must reproduce the pinned digest.
+/// Digests of every (program, configuration) pair through one
+/// [`RetargetPlan`] per program.
+fn plan_digests(f: &Family) -> Vec<u64> {
+    f.programs
+        .iter()
+        .flat_map(|p| match RetargetPlan::analyze(Arc::clone(p)) {
+            Ok(plan) => f
+                .configs
+                .iter()
+                .map(|c| digest(&plan.instantiate(c)))
+                .collect::<Vec<_>>(),
+            Err(e) => vec![digest(&Err(e)); f.configs.len()],
+        })
+        .collect()
+}
+
+/// Both retarget paths on the family must reproduce the pinned digest.
 fn check_family(name: &str, f: &Family, pinned: u64) {
-    let got = fold(retarget_digests(f));
-    assert_eq!(
-        got, pinned,
-        "{name}: retarget digest {got:#018x} drifted from the pinned {pinned:#018x}"
-    );
+    for (path, digests) in [("retarget", retarget_digests(f)), ("plan", plan_digests(f))] {
+        let got = fold(digests);
+        assert_eq!(
+            got, pinned,
+            "{name}: {path} digest {got:#018x} drifted from the pinned {pinned:#018x}"
+        );
+    }
 }
 
 // Pinned from `retarget` as it stood before the analyse/instantiate
@@ -168,4 +192,64 @@ fn corpus_matches_pinned_digest() {
 #[test]
 fn fig2_kernels_match_pinned_digest() {
     check_family("fig2 kernels", &kernels_family(), KERNELS_DIGEST);
+}
+
+/// Plans are shared across sweep workers.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<RetargetPlan>();
+};
+
+/// One plan instantiated in configuration order, in reverse order, and
+/// from two threads at once gives the same results.
+#[test]
+fn plan_instantiation_is_order_and_thread_independent() {
+    for f in [e7_family(), corpus_family(), kernels_family()] {
+        for p in &f.programs {
+            let Ok(plan) = RetargetPlan::analyze(Arc::clone(p)) else {
+                continue;
+            };
+            let forward = |plan: &RetargetPlan| -> Vec<u64> {
+                f.configs
+                    .iter()
+                    .map(|c| digest(&plan.instantiate(c)))
+                    .collect()
+            };
+            let expected = forward(&plan);
+            let mut reverse: Vec<u64> = f
+                .configs
+                .iter()
+                .rev()
+                .map(|c| digest(&plan.instantiate(c)))
+                .collect();
+            reverse.reverse();
+            assert_eq!(reverse, expected, "reverse order");
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(|| forward(&plan));
+                let b = s.spawn(|| forward(&plan));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(a, expected, "first thread");
+            assert_eq!(b, expected, "second thread");
+        }
+    }
+}
+
+/// The handledness fixpoint reuses the original CFG for its virtual
+/// post-excision program; rebuilding the CFG from that program's text
+/// must give the same blocks and edges.
+#[test]
+fn fixpoint_cfg_is_the_virtual_program_cfg() {
+    let mut excised = 0;
+    for f in [e7_family(), corpus_family(), kernels_family()] {
+        for p in &f.programs {
+            let Ok(plan) = RetargetPlan::analyze(Arc::clone(p)) else {
+                continue;
+            };
+            let vprog = plan.virtual_program();
+            assert_eq!(plan.cfg(), &Cfg::build(&vprog));
+            excised += usize::from(vprog.text() != p.text());
+        }
+    }
+    assert!(excised > 0, "no input excised anything");
 }
