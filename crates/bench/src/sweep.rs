@@ -67,15 +67,15 @@ pub struct GeneratedProgram {
     pub loop_starts: Vec<u32>,
     /// The derived reference expectation every cell is gated on.
     pub expect: Expectation,
-    /// The baseline binary's retarget analysis, shared by every
-    /// auto-retarget cell of the program (`None` until
-    /// [`Self::with_retarget_plan`]; the error if the retargeter rejects
-    /// the binary).
-    pub plan: Option<Result<RetargetPlan, RetargetError>>,
+    /// The baseline binary's retarget analysis, run once and
+    /// instantiated by every auto-retarget cell of the program (the
+    /// error if the retargeter rejects the binary).
+    pub plan: Result<RetargetPlan, RetargetError>,
 }
 
 impl GeneratedProgram {
-    /// Assembles `spec` and derives its reference expectation.
+    /// Assembles `spec`, derives its reference expectation and runs the
+    /// binary's retarget analysis.
     ///
     /// # Panics
     ///
@@ -89,6 +89,7 @@ impl GeneratedProgram {
             .assemble()
             .unwrap_or_else(|e| panic!("{name}: spec failed to assemble: {e}"));
         let program = CompiledProgram::compile(assembled.program);
+        let plan = RetargetPlan::analyze(Arc::clone(program.source()));
         let fin = run_session(
             ExecutorKind::Functional,
             &program,
@@ -113,33 +114,27 @@ impl GeneratedProgram {
                 mem_words: vec![(DATA_BASE, words)],
                 regs,
             },
-            plan: None,
+            plan,
         }
     }
 
-    /// Runs the baseline binary's retarget analysis once, for every
-    /// [`Self::build_auto`] to instantiate.
-    #[must_use]
-    pub fn with_retarget_plan(mut self) -> GeneratedProgram {
-        self.plan = Some(RetargetPlan::analyze(Arc::clone(self.program.source())));
-        self
-    }
-
     /// Auto-retargets the baseline program onto a ZOLC of configuration
-    /// `config` (used by the matrix's `BuildMode::AutoRetarget` cells),
-    /// instantiating the shared plan when [`Self::with_retarget_plan`]
-    /// built one and analysing the binary afresh otherwise.
+    /// `config` (used by the matrix's `BuildMode::AutoRetarget` cells)
+    /// by instantiating the shared [`Self::plan`].
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::Retarget`] if the retargeter rejects the
     /// binary or cannot fit it to `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Self::plan`] was analysed from a binary other than
+    /// [`Self::program`]'s.
     pub fn build_auto(&self, config: ZolcConfig) -> Result<AutoKernel, BuildError> {
-        let base = self.as_built(Target::Baseline);
         match &self.plan {
-            Some(Ok(plan)) => AutoKernel::instantiate(plan, base, config),
-            Some(Err(e)) => Err(BuildError::Retarget(e.clone())),
-            None => AutoKernel::retarget(base, config),
+            Ok(plan) => AutoKernel::instantiate(plan, self.as_built(Target::Baseline), config),
+            Err(e) => Err(BuildError::Retarget(e.clone())),
         }
     }
 
@@ -374,12 +369,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     let generated: Vec<Arc<GeneratedProgram>> = par_map(cfg.programs, threads, |i| {
         let seed = cfg.base_seed + i as u64;
         let spec = ProgramSpec::generate(seed, &cfg.gen);
-        let g = GeneratedProgram::from_spec(format!("gen{seed:05}"), spec);
-        Arc::new(if cfg.points.is_empty() {
-            g
-        } else {
-            g.with_retarget_plan()
-        })
+        Arc::new(GeneratedProgram::from_spec(format!("gen{seed:05}"), spec))
     });
 
     let mut matrix = JobMatrix::new();
@@ -638,14 +628,15 @@ mod tests {
     #[test]
     fn rejected_binary_fails_its_cells_with_the_retarget_message() {
         // a binary the analysis rejects fails its auto-retarget cells
-        // with the same message whether or not a plan was built first
+        // with the message `retarget` gives it
         let mut g =
             GeneratedProgram::from_spec("bad", ProgramSpec::generate(7, &GenConfig::default()));
         g.program = CompiledProgram::compile(zolc_isa::assemble("jal f\nf: halt").unwrap());
+        g.plan = RetargetPlan::analyze(Arc::clone(g.program.source()));
         let lite = ZolcConfig::lite();
-        let fresh = g.build_auto(lite).unwrap_err().to_string();
-        let g = g.with_retarget_plan();
-        assert!(matches!(g.plan, Some(Err(_))));
+        let fresh =
+            BuildError::Retarget(zolc_cfg::retarget(g.program.source(), &lite).unwrap_err())
+                .to_string();
         assert_eq!(g.build_auto(lite).unwrap_err().to_string(), fresh);
 
         let target = Target::Zolc(lite);

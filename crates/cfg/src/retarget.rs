@@ -300,9 +300,16 @@ impl RetargetPlan {
         instantiate(&self.program, &self.analysis, config)
     }
 
+    /// The analysed program.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
     /// The CFG of the analysed program — also the CFG of
     /// [`Self::virtual_program`], which the handledness fixpoint runs
-    /// its liveness and reachability queries over.
+    /// its liveness and reachability queries over. A test hook for that
+    /// identity, not part of the stable API.
+    #[doc(hidden)]
     pub fn cfg(&self) -> &Cfg {
         &self.analysis.cfg
     }
@@ -311,7 +318,9 @@ impl RetargetPlan {
     /// handledness fixpoint (before any capacity trim): every address
     /// kept 1:1, excised latches as `beq r0, r0, off`, register-limit
     /// copies as the `zwr` that replaces them, every other excised
-    /// instruction as `nop`. Its CFG equals [`Self::cfg`].
+    /// instruction as `nop`. Its CFG equals [`Self::cfg`]. A test hook,
+    /// not part of the stable API.
+    #[doc(hidden)]
     pub fn virtual_program(&self) -> Program {
         let (vtext, _) = virtual_text(self.program.text(), &self.analysis.handled);
         Program::from_parts(vtext, Vec::new())

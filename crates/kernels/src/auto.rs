@@ -91,11 +91,21 @@ impl AutoKernel {
     ///
     /// Returns [`BuildError::Retarget`] if the plan cannot be
     /// instantiated on `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` was analysed from a binary other than `base`'s.
     pub fn instantiate(
         plan: &RetargetPlan,
         base: BuiltKernel,
         config: ZolcConfig,
     ) -> Result<AutoKernel, BuildError> {
+        let source = base.program.source();
+        assert!(
+            Arc::ptr_eq(plan.program(), source) || plan.program() == source,
+            "{}: retarget plan was analysed from another binary",
+            base.name
+        );
         let r = plan.instantiate(&config)?;
         let stats = AutoStats::from(&r);
         let Retargeted {
@@ -224,5 +234,14 @@ mod tests {
             let run = auto.built.run(1_000_000, kind).unwrap();
             assert!(run.is_correct(), "{kind}: {:?}", run.mismatches);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fir: retarget plan was analysed from another binary")]
+    fn instantiate_rejects_a_plan_of_another_binary() {
+        let base = |name| (find_kernel(name).unwrap().build)(&Target::Baseline).unwrap();
+        let other = base("vec_mac");
+        let plan = RetargetPlan::analyze(Arc::clone(other.program.source())).unwrap();
+        let _ = AutoKernel::instantiate(&plan, base("fir"), ZolcConfig::lite());
     }
 }
