@@ -36,6 +36,16 @@
 //! Both schedules are legal by the trait's contract and produce identical
 //! architectural results (the root `prop_exec_equiv` suite checks this on
 //! every benchmark kernel).
+//!
+//! # Trigger set
+//!
+//! Like the hardware's PC-decode comparators, the controller can act
+//! only at a few fetch addresses. [`LoopEngine::triggers`] publishes them
+//! ([`ZolcTables::trigger_pcs`] while active, nothing while inactive);
+//! the set is recomputed on every `zctl` and on every `zwr` of an address
+//! or valid field, so executors skip both `decide` calls everywhere
+//! else. The `zolc-core` `trigger_contract` property suite checks that
+//! `decide` and `on_execute` are no-ops outside the set.
 
 use crate::config::ZolcConfig;
 use crate::dynamics::{decide, Decision, DynState};
@@ -69,6 +79,8 @@ pub struct Zolc {
     spec: DynState,
     journal: VecDeque<(u32, Decision)>,
     violations: Vec<String>,
+    /// The trigger set: empty while inactive (see the module docs).
+    triggers: Vec<u32>,
 }
 
 impl Zolc {
@@ -80,6 +92,7 @@ impl Zolc {
             spec: DynState::default(),
             journal: VecDeque::new(),
             violations: Vec::new(),
+            triggers: Vec::new(),
         }
     }
 
@@ -93,10 +106,21 @@ impl Zolc {
         &self.tables
     }
 
-    /// Mutable table access for direct image loading (bypassing the
-    /// instruction interface; used by [`crate::ZolcImage::load_into`]).
-    pub(crate) fn tables_mut(&mut self) -> &mut ZolcTables {
-        &mut self.tables
+    /// Edits the tables directly, bypassing the instruction interface
+    /// (used by [`crate::ZolcImage::load_into`]), and recomputes the
+    /// trigger set afterwards, whatever `edit` returns.
+    pub(crate) fn edit_tables<R>(&mut self, edit: impl FnOnce(&mut ZolcTables) -> R) -> R {
+        let out = edit(&mut self.tables);
+        self.refresh_triggers();
+        out
+    }
+
+    fn refresh_triggers(&mut self) {
+        if self.arch.active {
+            self.tables.trigger_pcs(&mut self.triggers);
+        } else {
+            self.triggers.clear();
+        }
     }
 
     /// The architectural dynamic state.
@@ -195,7 +219,11 @@ impl LoopEngine for Zolc {
 
     fn exec_zwr(&mut self, region: ZolcRegion, index: u8, field: u8, value: u32) {
         match self.tables.write(region, index, field, value) {
-            Ok(WriteEffect::Static) => {}
+            Ok(WriteEffect::Static) => {
+                if self.arch.active && ZolcTables::moves_triggers(region, field) {
+                    self.refresh_triggers();
+                }
+            }
             Ok(WriteEffect::Count { loop_id, value }) => {
                 let k = usize::from(loop_id);
                 if k < self.arch.counts.len() {
@@ -225,11 +253,16 @@ impl LoopEngine for Zolc {
                 self.journal.clear();
             }
         }
+        self.refresh_triggers();
     }
 
     fn on_flush(&mut self) {
         self.spec = self.arch;
         self.journal.clear();
+    }
+
+    fn triggers(&self) -> Option<&[u32]> {
+        Some(&self.triggers)
     }
 }
 
@@ -238,29 +271,52 @@ mod tests {
     use super::*;
     use crate::config::TASK_NONE;
     use crate::tables::{LoopRecord, TaskRecord};
-    use zolc_isa::{loop_field, reg};
+    use zolc_isa::{loop_field, reg, task_field};
 
     fn controller_with_loop() -> Zolc {
         let mut z = Zolc::new(ZolcConfig::lite());
-        z.tables_mut().loops_mut()[0] = LoopRecord {
-            init: 0,
-            step: 1,
-            limit: 2,
-            index_reg: Some(reg(4)),
-            start: 0x10,
-            end: 0x18,
-            flags: 0,
-        };
-        z.tables_mut().tasks_mut()[0] = TaskRecord {
-            end: 0x18,
-            loop_id: 0,
-            next_iter: 0,
-            next_fallthru: TASK_NONE,
-            valid: true,
-            flags: 0,
-        };
+        z.edit_tables(|t| {
+            t.loops_mut()[0] = LoopRecord {
+                init: 0,
+                step: 1,
+                limit: 2,
+                index_reg: Some(reg(4)),
+                start: 0x10,
+                end: 0x18,
+                flags: 0,
+            };
+            t.tasks_mut()[0] = TaskRecord {
+                end: 0x18,
+                loop_id: 0,
+                next_iter: 0,
+                next_fallthru: TASK_NONE,
+                valid: true,
+                flags: 0,
+            };
+        });
         z.activate(0);
         z
+    }
+
+    #[test]
+    fn trigger_set_follows_activation_and_address_writes() {
+        let mut z = controller_with_loop();
+        // task end 0x18, the pc before loop 0's start, and the unused
+        // loop records' start 0 (pc 0xfffffffc)
+        assert_eq!(z.triggers(), Some(&[0x0c, 0x18, 0xffff_fffc][..]));
+        z.exec_zwr(ZolcRegion::Task, 0, task_field::END, 0x20);
+        assert_eq!(z.triggers(), Some(&[0x0c, 0x20, 0xffff_fffc][..]));
+        // a limit write leaves the set alone
+        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::LIMIT, 9);
+        assert_eq!(z.triggers(), Some(&[0x0c, 0x20, 0xffff_fffc][..]));
+        z.exec_zctl(ZolcCtl::Deactivate);
+        assert_eq!(z.triggers(), Some(&[][..]));
+        // inactive: writes do not publish triggers, activation does
+        z.exec_zwr(ZolcRegion::Loop, 0, loop_field::START, 0x40);
+        assert_eq!(z.triggers(), Some(&[][..]));
+        z.activate(0);
+        assert_eq!(z.triggers(), Some(&[0x20, 0x3c, 0xffff_fffc][..]));
+        assert!(!z.is_passive());
     }
 
     #[test]

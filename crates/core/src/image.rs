@@ -648,60 +648,63 @@ impl ZolcImage {
         let cfg_tasks = zolc.config().tasks();
         let cfg_entry_slots = zolc.config().entry_slots();
         let cfg_exit_slots = zolc.config().exit_slots();
-        let tables = zolc.tables_mut();
-        tables.reset();
-        for (k, l) in self.loops.iter().enumerate() {
-            let limit = match l.limit {
-                LimitSrc::Const(v) => v,
-                LimitSrc::Reg(_) => {
-                    return Err(ImageError::BadReference(
-                        "register-sourced limits cannot be loaded directly; use emit_init".into(),
-                    ))
-                }
-            };
-            tables.loops_mut()[k] = LoopRecord {
-                init: l.init as u32,
-                step: l.step as u32,
-                limit,
-                index_reg: l.index_reg,
-                start: abs(l.start)?,
-                end: abs(l.end)?,
-                flags: 0,
-            };
-        }
-        for (k, t) in self.tasks.iter().enumerate() {
-            if cfg_tasks == 0 {
-                break;
+        zolc.edit_tables(|tables| {
+            tables.reset();
+            for (k, l) in self.loops.iter().enumerate() {
+                let limit = match l.limit {
+                    LimitSrc::Const(v) => v,
+                    LimitSrc::Reg(_) => {
+                        return Err(ImageError::BadReference(
+                            "register-sourced limits cannot be loaded directly; use emit_init"
+                                .into(),
+                        ))
+                    }
+                };
+                tables.loops_mut()[k] = LoopRecord {
+                    init: l.init as u32,
+                    step: l.step as u32,
+                    limit,
+                    index_reg: l.index_reg,
+                    start: abs(l.start)?,
+                    end: abs(l.end)?,
+                    flags: 0,
+                };
             }
-            tables.tasks_mut()[k] = TaskRecord {
-                end: abs(t.end)?,
-                loop_id: t.loop_id,
-                next_iter: t.next_iter,
-                next_fallthru: t.next_fallthru,
-                valid: true,
-                flags: 0,
-            };
-        }
-        for e in &self.entries {
-            let idx = usize::from(e.loop_id) * cfg_entry_slots + usize::from(e.slot);
-            tables.entries_mut()[idx] = EntryRecord {
-                addr: abs(e.addr)?,
-                task: e.task,
-                init_mask: e.init_mask,
-                redirect: e.redirect.map(abs).transpose()?.unwrap_or(0),
-                valid: true,
-            };
-        }
-        for x in &self.exits {
-            let idx = usize::from(x.loop_id) * cfg_exit_slots + usize::from(x.slot);
-            tables.exits_mut()[idx] = ExitRecord {
-                branch: abs(x.branch)?,
-                target_task: x.target_task,
-                clear_mask: x.clear_mask,
-                target: x.target.map(abs).transpose()?.unwrap_or(0),
-                valid: true,
-            };
-        }
+            for (k, t) in self.tasks.iter().enumerate() {
+                if cfg_tasks == 0 {
+                    break;
+                }
+                tables.tasks_mut()[k] = TaskRecord {
+                    end: abs(t.end)?,
+                    loop_id: t.loop_id,
+                    next_iter: t.next_iter,
+                    next_fallthru: t.next_fallthru,
+                    valid: true,
+                    flags: 0,
+                };
+            }
+            for e in &self.entries {
+                let idx = usize::from(e.loop_id) * cfg_entry_slots + usize::from(e.slot);
+                tables.entries_mut()[idx] = EntryRecord {
+                    addr: abs(e.addr)?,
+                    task: e.task,
+                    init_mask: e.init_mask,
+                    redirect: e.redirect.map(abs).transpose()?.unwrap_or(0),
+                    valid: true,
+                };
+            }
+            for x in &self.exits {
+                let idx = usize::from(x.loop_id) * cfg_exit_slots + usize::from(x.slot);
+                tables.exits_mut()[idx] = ExitRecord {
+                    branch: abs(x.branch)?,
+                    target_task: x.target_task,
+                    clear_mask: x.clear_mask,
+                    target: x.target.map(abs).transpose()?.unwrap_or(0),
+                    valid: true,
+                };
+            }
+            Ok(())
+        })?;
         zolc.activate(self.initial_task);
         Ok(())
     }

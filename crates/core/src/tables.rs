@@ -372,6 +372,37 @@ impl ZolcTables {
         Ok(WriteEffect::Static)
     }
 
+    /// Writes into `out` the pcs at which [`crate::decide`] or an exit
+    /// record can act while the controller is active, sorted and
+    /// deduplicated: valid entry addresses, valid exit branches, valid
+    /// task ends (loop 0's end on uZOLC, which has no task LUT) and the
+    /// instruction before every loop start — `decide` initialises a loop
+    /// when `pc + 4` is its start.
+    pub fn trigger_pcs(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.entries.iter().filter(|e| e.valid).map(|e| e.addr));
+        out.extend(self.exits.iter().filter(|x| x.valid).map(|x| x.branch));
+        out.extend(self.tasks.iter().filter(|t| t.valid).map(|t| t.end));
+        if self.config.tasks() == 0 {
+            out.extend(self.loops.first().map(|l| l.end));
+        }
+        out.extend(self.loops.iter().map(|l| l.start.wrapping_sub(4)));
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Whether a `zwr` of `field` in `region` can change
+    /// [`ZolcTables::trigger_pcs`]: the address and valid fields.
+    pub fn moves_triggers(region: ZolcRegion, field: u8) -> bool {
+        match region {
+            ZolcRegion::Loop => matches!(field, loop_field::START | loop_field::END),
+            ZolcRegion::Task => matches!(field, task_field::END | task_field::CTL),
+            ZolcRegion::Entry => matches!(field, entry_field::ADDR | entry_field::VALID),
+            ZolcRegion::Exit => matches!(field, exit_field::BRANCH | exit_field::VALID),
+            ZolcRegion::Global => false,
+        }
+    }
+
     /// Bitmask helper: the loops selected by `mask`, in ascending order.
     pub fn loops_in_mask(mask: u8) -> impl Iterator<Item = u8> {
         (0..MAX_LOOPS as u8).filter(move |k| mask & (1 << k) != 0)

@@ -19,11 +19,12 @@
 //! the session's [`CompiledProgram`](crate::CompiledProgram), shared by
 //! every concurrent session and read without a lock. Only passive
 //! engine runs dispatch compiled blocks: an active engine (see
-//! [`LoopEngine::is_passive`]) must observe `on_fetch`/`on_execute`
-//! for every instruction, so active runs take the per-instruction step
-//! core ([`Machine::step_instr`]), the exact interpreter
-//! `FunctionalCpu` runs. The same fallback handles everything a block
-//! cannot express:
+//! [`LoopEngine::is_passive`]) takes the per-instruction step core
+//! ([`Machine::step_instr`]), the exact interpreter `FunctionalCpu`
+//! runs, which consults it at its trigger pcs only
+//! ([`LoopEngine::triggers`]); the nest tier runs active engines on
+//! superblocks, this tier keeps the step core. The same fallback
+//! handles everything a block cannot express:
 //!
 //! * `zwr`/`zctl`/`dbnz` — loop-controller interactions (and the fused
 //!   branch-decrement) terminate the block and execute via the step
@@ -561,8 +562,8 @@ impl CompiledCpu {
     /// Runs until `halt` retires or `fuel` instructions retire.
     ///
     /// Active engines and retire-traced runs take the step core for the
-    /// whole run (see the module docs); passive untraced runs — the
-    /// sweep workload — dispatch compiled blocks.
+    /// whole run, hooks filtered by the engine's trigger set (see the
+    /// module docs); passive untraced runs dispatch compiled blocks.
     ///
     /// # Errors
     ///

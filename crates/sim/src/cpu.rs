@@ -189,9 +189,9 @@ pub trait Executor {
 /// * [`ExecutorKind::CycleAccurate`] — the 5-stage pipeline: exact cycle
 ///   counts (the paper's metric), slowest to simulate;
 /// * [`ExecutorKind::Functional`] — architecture only: identical final
-///   registers, memory and retire counts, no cycle counts; ~3–5× faster
-///   than the pipeline on controller-less cores, ~1.5× under a ZOLC
-///   controller (whose modeling cost dominates every executor);
+///   registers, memory and retire counts, no cycle counts; several
+///   times faster than the pipeline, and consults a loop controller at
+///   its trigger pcs only;
 /// * [`ExecutorKind::Compiled`] — the block-compiled functional
 ///   executor: same architectural results as `Functional` (the
 ///   four-way `prop_exec_equiv` suite enforces it), dispatching
@@ -199,14 +199,14 @@ pub trait Executor {
 ///   instructions. Degenerates to the functional step core under an
 ///   active loop controller;
 /// * [`ExecutorKind::Nest`] — the loop-nest superblock executor: whole
-///   engine-passive regions (counted loop nests included) compiled once
-///   into trip-parameterized, direct-threaded op arrays with the
-///   canonical counted-loop latches fused into counted-repeat ops — no
-///   per-iteration block lookup or terminator dispatch, and a bulk path
-///   for innermost straight-line bodies. Fastest tier on passive
-///   engines; bails to the step core on `zwr`/`zctl`/`dbnz`, faults,
-///   traced runs and active engines. Use it for the largest correctness
-///   sweeps and design-space exploration.
+///   regions free of engine trigger pcs (counted loop nests included)
+///   compiled once into trip-parameterized, direct-threaded op arrays
+///   with the canonical counted-loop latches fused into counted-repeat
+///   ops — no per-iteration block lookup or terminator dispatch, and a
+///   bulk path for innermost straight-line bodies. Fastest tier with or
+///   without a controller; steps `zwr`/`zctl`/`dbnz` and trigger pcs on
+///   the step core, and takes it for traced runs. Use it for the
+///   largest correctness sweeps and design-space exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum ExecutorKind {

@@ -19,6 +19,23 @@
 //! * [`LoopEngine::on_flush`] — any pipeline flush; fetch-time decisions
 //!   made for squashed instructions must be rolled back (speculative state
 //!   returns to architectural state).
+//!
+//! # Trigger sets
+//!
+//! The paper's controller is zero-overhead because it acts only where
+//! its PC-decode comparators match — task ends, multiple-entry addresses
+//! and registered exit branches; everywhere else fetch ignores it.
+//! [`LoopEngine::triggers`] exposes that set: the pcs at which the engine
+//! can act, valid until the next [`LoopEngine::exec_zwr`] or
+//! [`LoopEngine::exec_zctl`]. Every executor consults the engine only at
+//! those pcs — the pipeline and the step core skip `on_fetch` and
+//! `on_execute` elsewhere, and the nest tier runs superblocks that end at
+//! trigger pcs — so an active controller costs host time only where the
+//! hardware's comparators would fire. Architectural results, cycle
+//! counts, [`Stats`](crate::Stats) and engine state are the same as with
+//! every hook called. An engine that returns `None` (the default) is
+//! consulted at every instruction, exactly as before the interface
+//! existed.
 
 use zolc_isa::{Reg, ZolcCtl, ZolcRegion};
 
@@ -158,9 +175,31 @@ pub trait LoopEngine {
     /// A passive engine never redirects, never attaches index writes and
     /// keeps no state, so executors may skip its hooks entirely on hot
     /// paths (the functional executor does). Defaults to `false`; only
-    /// return `true` when *all* hooks are behaviorally no-ops.
+    /// return `true` when *all* hooks are behaviorally no-ops for the
+    /// whole run. An engine with an empty [`LoopEngine::triggers`] set is
+    /// not passive by that token: a `zctl` can give it triggers.
     fn is_passive(&self) -> bool {
         false
+    }
+
+    /// The pcs at which this engine can act, sorted and deduplicated, or
+    /// `None` (the default) for "may act at any pc".
+    ///
+    /// The contract, at every pc outside the set:
+    ///
+    /// * `on_fetch` returns [`FetchDecision::none`] and changes no state;
+    /// * `on_execute` changes no state, whatever the event;
+    /// * `on_flush` stays idempotent: any number of calls with no other
+    ///   hook in between has the effect of one. Under the functional
+    ///   tiers' strict alternation it is a no-op unless an earlier
+    ///   `on_execute` at a trigger pc left a flush pending, so the nest
+    ///   tier issues one `on_flush` when it leaves a superblock in which
+    ///   a flushing transfer retired.
+    ///
+    /// The set stays valid until the next [`LoopEngine::exec_zwr`] or
+    /// [`LoopEngine::exec_zctl`]; executors re-read it right after each.
+    fn triggers(&self) -> Option<&[u32]> {
+        None
     }
 }
 
@@ -174,6 +213,10 @@ pub struct NullEngine;
 impl LoopEngine for NullEngine {
     fn is_passive(&self) -> bool {
         true
+    }
+
+    fn triggers(&self) -> Option<&[u32]> {
+        Some(&[])
     }
 }
 
@@ -197,6 +240,14 @@ mod tests {
         struct Custom;
         impl LoopEngine for Custom {}
         assert!(!Custom.is_passive());
+    }
+
+    #[test]
+    fn engines_act_anywhere_unless_they_publish_triggers() {
+        struct Custom;
+        impl LoopEngine for Custom {}
+        assert_eq!(Custom.triggers(), None);
+        assert_eq!(NullEngine.triggers(), Some(&[][..]));
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! Use it wherever architectural results are the point and cycles are
 //! not: correctness sweeps over many inputs, differential testing,
 //! reference runs for new kernels. On passive engines (no controller —
-//! see [`LoopEngine::is_passive`]) the hook calls vanish statically and
-//! it executes ~3–5× more instructions per second than the pipeline;
-//! with a ZOLC controller attached the controller model dominates both
-//! executors and the gain is ~1.5× (a traced `perfbench` `fig2_kernels`
-//! run reports both as `sim.exec_ns_per_instr.{pipeline,functional}.*`).
+//! see [`LoopEngine::is_passive`]) the hook calls vanish statically; with
+//! a ZOLC controller attached the step core calls `on_fetch` and
+//! `on_execute` only at the engine's trigger pcs
+//! ([`LoopEngine::triggers`]), one `decide` pair per task end or
+//! loop-entry point instead of one per instruction (a traced `perfbench`
+//! `fig2_kernels` run reports both as
+//! `sim.exec_ns_per_instr.{pipeline,functional}.*`).
 //!
 //! # Engine-driving contract
 //!
@@ -35,13 +37,16 @@
 //! the one place the schedules can differ — a `dbnz` the pipeline
 //! resolves early in ID without flushing — is harmless.) Engines written
 //! against the pipeline's speculative calling pattern observe a legal,
-//! wrong-path-free schedule and need no changes.
+//! wrong-path-free schedule and need no changes. `on_fetch` and
+//! `on_execute` are skipped at pcs outside the engine's trigger set,
+//! which is re-read right after every `zwr` and `zctl`; `on_flush` calls
+//! are kept.
 
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError};
 use crate::engine::{ExecEvent, LoopEngine};
 use crate::exec::{step, Effect};
 use crate::mem::{MemError, Memory};
-use crate::program::CompiledProgram;
+use crate::program::{CompiledProgram, Filter};
 use crate::regfile::RegFile;
 use crate::stats::Stats;
 use std::sync::Arc;
@@ -63,6 +68,8 @@ pub(crate) struct Machine {
     pub(crate) pc: u32,
     pub(crate) stats: Stats,
     pub(crate) retire_log: Vec<RetireEvent>,
+    /// The trigger table engine hooks are filtered through.
+    pub(crate) filter: Filter,
 }
 
 impl Machine {
@@ -84,14 +91,21 @@ impl Machine {
             pc: TEXT_BASE,
             stats: Stats::default(),
             retire_log: Vec::new(),
+            filter: Filter::All,
         })
+    }
+
+    /// Re-reads the engine's trigger set (at run start, and after every
+    /// `zwr`/`zctl`, the only points where it may change).
+    pub(crate) fn refilter(&mut self, engine: &dyn LoopEngine) {
+        self.filter = self.prog.filter(self.filter, engine.triggers());
     }
 
     /// The per-instruction interpreter loop, monomorphized over engine
     /// passivity: for a passive engine (no controller attached) the
     /// per-instruction hook calls and the `FetchDecision` copy vanish
     /// statically, which is most of the interpreter's overhead on plain
-    /// cores.
+    /// cores. An active engine is consulted at its trigger pcs only.
     pub(crate) fn run(
         &mut self,
         engine: &mut dyn LoopEngine,
@@ -100,6 +114,7 @@ impl Machine {
         if engine.is_passive() {
             self.run_loop::<true>(engine, fuel)
         } else {
+            self.refilter(engine);
             self.run_loop::<false>(engine, fuel)
         }
     }
@@ -120,6 +135,19 @@ impl Machine {
         }
     }
 
+    /// [`Machine::step_instr`] with passivity chosen at run time.
+    pub(crate) fn step(
+        &mut self,
+        engine: &mut dyn LoopEngine,
+        passive: bool,
+    ) -> Result<bool, RunError> {
+        if passive {
+            self.step_instr::<true>(engine)
+        } else {
+            self.step_instr::<false>(engine)
+        }
+    }
+
     /// Executes one instruction to completion. Returns `true` when `halt`
     /// retires.
     pub(crate) fn step_instr<const PASSIVE: bool>(
@@ -134,10 +162,10 @@ impl Machine {
             // un-squashed fault slot retires.
             Err(e) => return Err(RunError::from_fetch(e, pc)),
         };
-        let decision = if PASSIVE {
-            crate::engine::FetchDecision::none()
-        } else {
+        let decision = if !PASSIVE && self.prog.hooks_at(self.filter, pc) {
             engine.on_fetch(pc)
+        } else {
+            crate::engine::FetchDecision::none()
         };
         if decision.redirect.is_some() {
             self.stats.zolc_redirects += 1;
@@ -201,10 +229,16 @@ impl Machine {
             } => {
                 engine.exec_zwr(region, index, field, value);
                 self.stats.zwr_retired += 1;
+                if !PASSIVE {
+                    self.refilter(engine);
+                }
             }
             Effect::Zctl { op } => {
                 engine.exec_zctl(op);
                 self.stats.zctl_retired += 1;
+                if !PASSIVE {
+                    self.refilter(engine);
+                }
                 // Context-synchronizing, like the pipeline's post-zctl
                 // flush: execution continues at the next address.
                 next = pc.wrapping_add(4);
@@ -212,7 +246,7 @@ impl Machine {
             }
         }
 
-        if !PASSIVE {
+        if !PASSIVE && self.prog.hooks_at(self.filter, pc) {
             engine.on_execute(pc, event);
         }
 

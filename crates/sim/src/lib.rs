@@ -19,11 +19,11 @@
 //!      Nikolaidis, DATE 2005* and produces the paper's metric: cycles.
 //!    * [`FunctionalCpu`] — the fast functional executor: identical
 //!      final registers, memory and retire counts, no cycle counts.
-//!      Several times faster than the pipeline — ~3–5× on cores without
-//!      a loop controller (the passive-engine fast path), ~1.5× with a
-//!      ZOLC controller attached, whose modeling cost dominates every
-//!      executor. Use it for correctness sweeps and differential
-//!      testing; use the pipeline whenever cycles are the answer.
+//!      Several times faster than the pipeline on cores without a loop
+//!      controller (the passive-engine fast path); with a ZOLC
+//!      controller attached it consults the controller at trigger pcs
+//!      only. Use it for correctness sweeps and differential testing;
+//!      use the pipeline whenever cycles are the answer.
 //!    * [`CompiledCpu`] — the block-compiled functional executor: the
 //!      text segment is compiled on first entry into basic-block
 //!      superinstructions (pre-lowered op vectors, terminator handled
@@ -31,16 +31,16 @@
 //!      step core for `zwr`/`zctl`/`dbnz`, fetch faults and active
 //!      engines. Same architectural results as `FunctionalCpu`,
 //!      another ~2–3× faster on passive engines.
-//!    * [`NestCpu`] — the loop-nest superblock executor: whole
-//!      engine-passive regions — counted loop nests included — are
+//!    * [`NestCpu`] — the loop-nest superblock executor: whole regions
+//!      free of engine trigger pcs — counted loop nests included — are
 //!      compiled once into trip-parameterized, direct-threaded op
 //!      arrays whose canonical counted-loop latches fuse into counted
 //!      repeat ops, with a zero-dispatch bulk path for innermost
 //!      straight-line bodies. No per-iteration block lookup or
-//!      terminator dispatch; bails to the step core on
-//!      `zwr`/`zctl`/`dbnz`, faults and the fuel boundary at an
-//!      instruction-exact resume point. The fastest tier on passive
-//!      engines — the sweep workhorse.
+//!      terminator dispatch; steps `zwr`/`zctl`/`dbnz` and trigger pcs
+//!      on the step core, and bails to it on faults and the fuel
+//!      boundary at an instruction-exact resume point. The fastest tier
+//!      with or without a controller — the sweep workhorse.
 //!
 //! All executors enforce one **fuel semantic**: the budget passed to
 //! [`Executor::run`] counts *retired instructions* everywhere, so a
@@ -51,7 +51,10 @@
 //! trait, which mirrors the paper's Fig. 1 integration points: fetch-time
 //! next-PC selection (zero-overhead redirect), retire-time commit, the
 //! `zwr`/`zctl` coprocessor instructions and a dedicated index-register
-//! write port.
+//! write port. An engine publishes its **trigger set**
+//! ([`LoopEngine::triggers`]), the pcs where it can act, like the
+//! hardware's PC-decode comparators; every executor consults it there
+//! only, with identical results, cycles and statistics.
 //!
 //! # Sessions over shared compiled programs
 //!
@@ -117,6 +120,6 @@ pub use functional::FunctionalCpu;
 pub use mem::{MemError, MemErrorKind, Memory};
 pub use nest::NestCpu;
 pub use pipeline::Cpu;
-pub use program::CompiledProgram;
+pub use program::{CompiledProgram, TriggerCacheStats};
 pub use regfile::RegFile;
 pub use stats::Stats;

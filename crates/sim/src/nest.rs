@@ -5,11 +5,11 @@
 //! ([`CompiledCpu`](crate::CompiledCpu)) still pays a per-iteration
 //! block-table lookup and terminator re-dispatch on every loop
 //! back-edge; this tier exploits what ZOLC makes static: when execution
-//! reaches the entry of an engine-passive region, the **entire region —
-//! a whole counted loop nest included — is compiled once** into a
-//! *superblock*: a direct-threaded array of pre-lowered ops (the same
-//! lowering as `blocks.rs`) in which control transfers are op-array
-//! indices, and each canonical counted-loop latch
+//! reaches the entry of a region free of engine trigger pcs, the
+//! **entire region — a whole counted loop nest included — is compiled
+//! once** into a *superblock*: a direct-threaded array of pre-lowered
+//! ops (the same lowering as `blocks.rs`) in which control transfers are
+//! op-array indices, and each canonical counted-loop latch
 //! (`addi c, c, -1; bne c, r0, top`) is fused into one counted
 //! [`NOp::Repeat`] op. Steady-state execution is a tight loop over the
 //! array: no per-iteration block lookup, no terminator dispatch, and —
@@ -24,16 +24,34 @@
 //! constant, including triangular nests and bodies that read or write
 //! their own counter.
 //!
+//! # Engines and trigger pcs
+//!
+//! Superblocks call no engine hooks, so they stop before every pc of
+//! the engine's trigger set ([`LoopEngine::triggers`]): the trigger
+//! instruction itself runs through the step core with its
+//! `on_fetch`/`on_execute`, and execution re-enters superblocks after
+//! it. Each distinct trigger set has its own nest table in the
+//! [`CompiledProgram`](crate::CompiledProgram); passive engines and
+//! controllers not yet active run on the empty set's table, which is
+//! the whole-nest table of a controller-less core. An active ZOLC
+//! program therefore runs its loop bodies as superblocks and steps only
+//! at task ends, loop-entry points and registered entries and exits.
+//! Engines without a trigger set, and sessions past the program's
+//! trigger-table cap, take the step core with every hook called.
+//! Leaving a superblock in which a taken branch or `jr` retired issues
+//! one `on_flush`, standing for the flushes those transfers make on the
+//! step core (the call is idempotent by contract).
+//!
 //! # Bail-out and resume contract
 //!
 //! Everything a superblock cannot express defers to the shared
 //! [`Machine`] step core at an **instruction-exact resume point** (the
 //! parallel `pcs` array maps every op back to its instruction):
 //!
-//! * `zwr`/`zctl`/`dbnz` end the compiled region; execution resumes at
-//!   that instruction through the step core;
-//! * an **active engine** (see [`LoopEngine::is_passive`]) or a
-//!   retire-traced run takes the step core for the whole run;
+//! * `zwr`/`zctl`/`dbnz` and trigger pcs end the compiled region;
+//!   execution resumes at that instruction through the step core;
+//! * a retire-traced run, or an active engine that publishes no
+//!   trigger set, takes the step core for the whole run;
 //! * a fetch fault raises the architectural [`RunError`] from the step
 //!   core's fetch path;
 //! * a data fault commits the preceding ops and parks the pc on the
@@ -45,13 +63,15 @@
 //!   [`RunError::OutOfFuel`] fires at exactly the same instruction as
 //!   on [`FunctionalCpu`](crate::FunctionalCpu).
 //!
-//! Superblocks live in the write-once nest table of the session's
-//! [`CompiledProgram`](crate::CompiledProgram) (`nest_cache_stats`),
-//! compiled once per entry pc and shared by every concurrent session;
-//! regions that start on an instruction the superblock cannot contain
-//! are recorded negatively ([`NestEntry::Step`]) and single-stepped. The four-way `prop_exec_equiv` suite holds this tier
-//! bit-exact — registers, memory, retire counts and every architectural
-//! event counter — against the other three.
+//! Superblocks are compiled once per entry pc and trigger set and
+//! shared by every concurrent session (`nest_cache_stats`,
+//! `trigger_cache_stats`); regions that start on an instruction the
+//! superblock cannot contain are recorded negatively
+//! ([`NestEntry::Step`]) and single-stepped. The four-way
+//! `prop_exec_equiv` suite holds this tier bit-exact — registers,
+//! memory, retire counts and every architectural event counter —
+//! against the other three, and `trigger_equiv` holds its filtered runs
+//! to runs with every hook called.
 
 use crate::blocks::{lower, AluFn, CondFn, Lowered, Op, Terminator};
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError};
@@ -59,7 +79,7 @@ use crate::engine::LoopEngine;
 use crate::exec::{LoadOp, StoreOp, TextImage};
 use crate::functional::Machine;
 use crate::mem::{MemError, Memory};
-use crate::program::CompiledProgram;
+use crate::program::{CompiledProgram, Filter, TriggerTable};
 use crate::regfile::RegFile;
 use crate::stats::Stats;
 use std::collections::HashMap;
@@ -154,7 +174,8 @@ pub(crate) struct Superblock {
 #[derive(Debug)]
 pub(crate) enum NestEntry {
     /// The entry instruction cannot start a superblock
-    /// (`zwr`/`zctl`/`dbnz`): single-step it through the step core.
+    /// (`zwr`/`zctl`/`dbnz`, or a trigger pc): single-step it through
+    /// the step core.
     Step,
     /// A compiled superblock.
     Sb(Superblock),
@@ -207,10 +228,12 @@ fn bulk_cost(ops: &[NOp], body: usize, latch: usize, counter: Reg) -> u32 {
 /// counter, the pair fuses into one [`NOp::Repeat`] at the `addi`'s op
 /// index — entering at either latch instruction, or branching to the
 /// `addi` (a tail-skip), still lands on correct decrement-and-test
-/// semantics. The scan stops at `zwr`/`zctl`/`dbnz`, a fetch fault
-/// (end of text) or the op cap, appending a terminal `Exit` so
-/// execution resumes there through dispatch.
-pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
+/// semantics. The scan stops at `zwr`/`zctl`/`dbnz`, a pc of the
+/// `stops` trigger set, a fetch fault (end of text) or the op cap,
+/// appending a terminal `Exit` so execution resumes there through
+/// dispatch. Scanned pcs are never triggers, so every transfer to a
+/// trigger pc becomes an `Exit`.
+pub(crate) fn compile_nest(text: &TextImage, entry: u32, stops: &TriggerTable) -> NestEntry {
     let mut ops: Vec<NOp> = Vec::new();
     let mut pcs: Vec<u32> = Vec::new();
     // instruction pc -> op index (fused `bne`s are absent by design:
@@ -220,7 +243,7 @@ pub(crate) fn compile_nest(text: &TextImage, entry: u32) -> NestEntry {
     let mut fixups: Vec<(usize, u32)> = Vec::new();
     let mut pc = entry;
     loop {
-        if ops.len() >= MAX_NEST_OPS {
+        if ops.len() >= MAX_NEST_OPS || stops.is_trigger(pc) {
             break;
         }
         let Ok(instr) = text.fetch(pc) else {
@@ -433,6 +456,8 @@ fn closed_form(regs: &mut [u32; 32], op: NOp, ci: usize, full: u64) -> bool {
 enum SbExit {
     /// Continue with dispatch at the (already committed) new pc.
     Continue,
+    /// A `jr` retired; continue with dispatch at its target.
+    Jr,
     /// `halt` retired.
     Halted,
 }
@@ -573,7 +598,7 @@ fn run_superblock(m: &mut Machine, sb: &Superblock, limit: u64) -> Result<SbExit
                 left -= 1;
                 commit!();
                 *pc = regs[rs.index() & 31];
-                return Ok(SbExit::Continue);
+                return Ok(SbExit::Jr);
             }
             NOp::Repeat {
                 counter,
@@ -840,9 +865,11 @@ impl NestCpu {
 
     /// Runs until `halt` retires or `fuel` instructions retire.
     ///
-    /// Active engines and retire-traced runs take the step core for the
-    /// whole run (see the module docs); passive untraced runs dispatch
-    /// superblocks.
+    /// Untraced runs dispatch superblocks that end at the engine's
+    /// trigger pcs. Retire-traced runs, and active engines that publish
+    /// no trigger set, take the step core for the whole run; a session
+    /// past its program's trigger-table cap takes it until the engine
+    /// presents a set that has a table (see the module docs).
     ///
     /// # Errors
     ///
@@ -851,8 +878,12 @@ impl NestCpu {
     /// * [`RunError::MisalignedFetch`] on a non-4-aligned pc;
     /// * [`RunError::Mem`] on a data access fault.
     pub fn run(&mut self, engine: &mut dyn LoopEngine, fuel: u64) -> Result<Stats, RunError> {
-        if !engine.is_passive() || self.m.config.trace_retire {
+        let passive = engine.is_passive();
+        if self.m.config.trace_retire || (!passive && engine.triggers().is_none()) {
             return self.m.run(engine, fuel);
+        }
+        if !passive {
+            self.m.refilter(engine);
         }
         let prog = Arc::clone(&self.m.prog);
         let limit = self.m.stats.retired + fuel;
@@ -860,25 +891,44 @@ impl NestCpu {
             if self.m.stats.retired >= limit {
                 return Err(RunError::OutOfFuel { fuel });
             }
-            let entry = prog.nest_at(self.m.pc)?;
-            match entry {
+            let table = match (passive, self.m.filter) {
+                (true, _) => 0,
+                (false, Filter::Table(i)) => i,
+                (false, Filter::All) => {
+                    if self.m.step_instr::<false>(engine)? {
+                        return Ok(self.m.stats);
+                    }
+                    continue;
+                }
+            };
+            match prog.nest_at(table, self.m.pc)? {
                 NestEntry::Step => {
-                    // zwr/zctl/dbnz at this pc: one step-core step.
-                    if self.m.step_instr::<true>(engine)? {
+                    // zwr/zctl/dbnz or a trigger pc: one step-core step.
+                    if self.m.step(engine, passive)? {
                         return Ok(self.m.stats);
                     }
                 }
                 NestEntry::Sb(sb) => {
                     let before = (self.m.pc, self.m.stats.retired);
-                    match run_superblock(&mut self.m, sb, limit)? {
+                    let taken = self.m.stats.taken_branches;
+                    let exit = run_superblock(&mut self.m, sb, limit);
+                    // The step core flushes after every taken branch and
+                    // `jr`; between trigger pcs one idempotent on_flush
+                    // stands for all of them.
+                    if !passive
+                        && (self.m.stats.taken_branches != taken || matches!(exit, Ok(SbExit::Jr)))
+                    {
+                        engine.on_flush();
+                    }
+                    match exit? {
                         SbExit::Halted => return Ok(self.m.stats),
-                        SbExit::Continue => {
+                        SbExit::Continue | SbExit::Jr => {
                             if (self.m.pc, self.m.stats.retired) == before {
                                 // The first op needs more fuel than
                                 // remains (a Repeat with 1 left): retire
                                 // per-instruction so OutOfFuel lands at
                                 // the exact boundary.
-                                if self.m.step_instr::<true>(engine)? {
+                                if self.m.step(engine, passive)? {
                                     return Ok(self.m.stats);
                                 }
                             }

@@ -21,7 +21,10 @@
 //!   redirects cost **zero cycles** — this is precisely the mechanism that
 //!   makes the ZOLC a *zero-overhead* loop controller. Engine state
 //!   advanced for wrong-path fetches is rolled back via
-//!   [`LoopEngine::on_flush`].
+//!   [`LoopEngine::on_flush`]. IF and EX call `on_fetch`/`on_execute`
+//!   only at the engine's trigger pcs ([`LoopEngine::triggers`]); EX
+//!   re-reads the set right after a `zwr` or `zctl`, before the same
+//!   cycle's IF, which is exactly when the engine's tables change.
 //! * `zctl` is context-synchronizing: executing it flushes the two younger
 //!   slots so mode changes are visible to the very next fetch.
 //!
@@ -36,10 +39,10 @@
 //! is this module's entire subject matter.
 
 use crate::cpu::{CpuConfig, Executor, ExecutorKind, RetireEvent, RunError};
-use crate::engine::{ExecEvent, LoopEngine, RegWrites};
+use crate::engine::{ExecEvent, FetchDecision, LoopEngine, RegWrites};
 use crate::exec::{step, Effect, FetchError, LoadOp, StoreOp};
 use crate::mem::{MemError, Memory};
-use crate::program::CompiledProgram;
+use crate::program::{CompiledProgram, Filter};
 use crate::regfile::RegFile;
 use crate::stats::Stats;
 use std::sync::Arc;
@@ -129,6 +132,8 @@ pub struct Cpu {
     fetch_stopped: bool,
     stats: Stats,
     retire_log: Vec<RetireEvent>,
+    /// The trigger table engine hooks are filtered through.
+    filter: Filter,
 }
 
 impl Cpu {
@@ -154,6 +159,7 @@ impl Cpu {
             fetch_stopped: false,
             stats: Stats::default(),
             retire_log: Vec::new(),
+            filter: Filter::All,
         };
         cpu.mem.write_bytes(TEXT_BASE, prog.text_bytes())?;
         cpu.mem.write_bytes(DATA_BASE, prog.source().data())?;
@@ -216,6 +222,7 @@ impl Cpu {
             .cycles
             .saturating_add(fuel.saturating_mul(8))
             .saturating_add(64);
+        self.refilter(engine);
         loop {
             if self.stats.retired >= retire_limit || self.stats.cycles >= cycle_valve {
                 return Err(RunError::OutOfFuel { fuel });
@@ -224,6 +231,12 @@ impl Cpu {
                 return Ok(self.stats);
             }
         }
+    }
+
+    /// Re-reads the engine's trigger set (at run start, and after every
+    /// `zwr`/`zctl`, the only points where it may change).
+    fn refilter(&mut self, engine: &dyn LoopEngine) {
+        self.filter = self.prog.filter(self.filter, engine.triggers());
     }
 
     /// Advances one clock cycle. Returns `true` when `halt` retires.
@@ -502,17 +515,21 @@ impl Cpu {
             } => {
                 engine.exec_zwr(region, index, field, value);
                 self.stats.zwr_retired += 1;
+                self.refilter(engine);
             }
             Effect::Zctl { op } => {
                 engine.exec_zctl(op);
                 self.stats.zctl_retired += 1;
+                self.refilter(engine);
                 // Context-synchronizing: refetch the next instruction so
                 // mode changes are visible at fetch.
                 flush_to = Some(pc.wrapping_add(4));
             }
         }
 
-        engine.on_execute(pc, event);
+        if self.prog.hooks_at(self.filter, pc) {
+            engine.on_execute(pc, event);
+        }
         self.ex_mem = Some(out);
         Ok(flush_to)
     }
@@ -559,7 +576,11 @@ impl Cpu {
                 return;
             }
         };
-        let decision = engine.on_fetch(pc);
+        let decision = if self.prog.hooks_at(self.filter, pc) {
+            engine.on_fetch(pc)
+        } else {
+            FetchDecision::none()
+        };
         if decision.redirect.is_some() {
             self.stats.zolc_redirects += 1;
         }
