@@ -1,15 +1,15 @@
-//! A minimal JSON value, writer and parser for the sharded-sweep
-//! fragments (`shard.rs`).
+//! A minimal JSON value, writer and parser: the codec of the `zolcd`
+//! wire format (`zolc_daemon::protocol`) and of `perfbench`'s reports.
 //!
 //! The build environment has no crates.io access, so — like the
 //! vendored `proptest` shim — serialization is hand-rolled
-//! here instead of pulling in `serde`. The subset is exactly what the
-//! fragments need: objects, arrays, strings, booleans, null, and
+//! here instead of pulling in `serde`. The subset is exactly what those
+//! documents need: objects, arrays, strings, booleans, null, and
 //! numbers kept as **raw decimal strings**. Numbers round-trip
 //! losslessly by construction: `u64` writes via `Display`, and `f64`
 //! writes Rust's shortest round-trip `Display` form, so parsing the
 //! token back with `str::parse` recovers the identical bits — which is
-//! what makes a resumed sweep byte-identical to an uninterrupted one.
+//! what lets a sweep response carry its savings distribution bit-exactly.
 
 use std::fmt::Write as _;
 

@@ -300,7 +300,7 @@ fn parse_programs_knob(raw: &str) -> usize {
 /// Per-configuration aggregation of one sweep.
 ///
 /// Equality is exact (including bitwise `f64` comparison of the savings
-/// distribution) — it backs the sharded-sweep byte-identity guarantee.
+/// distribution).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointSummary {
     /// Display label of the configuration.
@@ -336,8 +336,8 @@ impl PointSummary {
     }
 }
 
-/// The aggregated result of one sweep (render with `Display`; persist
-/// and resume with [`run_sweep_sharded`](crate::run_sweep_sharded)).
+/// The aggregated result of one sweep (render with `Display`; `zolcd`
+/// serves it as JSON through `zolc_daemon::protocol::sweep_report_json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Programs swept.

@@ -20,11 +20,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// FNV-1a over `bytes` — the same hash family the sweep fingerprint
-/// uses, hand-rolled because the default [`std::collections`] hasher is
-/// randomized per process and cache keys must at least be stable within
-/// one daemon lifetime (and cheap over multi-megabyte canon forms).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes`, hand-rolled because the default
+/// [`std::collections`] hasher is randomized per process and cache keys
+/// must at least be stable within one daemon lifetime (and cheap over
+/// multi-megabyte canon forms).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -46,7 +46,7 @@
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use zolc_bench::json::Json;
-use zolc_bench::SweepPoint;
+use zolc_bench::{PointSummary, SweepPoint, SweepReport};
 use zolc_cfg::{LintReport, Retargeted};
 use zolc_core::{ZolcConfig, ZolcVariant};
 use zolc_gen::GenConfig;
@@ -301,7 +301,9 @@ pub fn sweep_config_json(cfg: &zolc_bench::SweepConfig) -> Json {
 ///
 /// # Errors
 ///
-/// A message naming the missing or invalid field.
+/// A message naming the missing or invalid field, or
+/// `"sweep: seed range overflows u64"` when `base_seed + programs` does
+/// not fit a `u64` — the seeds of such a sweep would wrap.
 pub fn parse_sweep_config(doc: &Json) -> Result<zolc_bench::SweepConfig, String> {
     let mut cfg = zolc_bench::SweepConfig::new();
     if let Some(v) = doc.get("programs") {
@@ -334,7 +336,51 @@ pub fn parse_sweep_config(doc: &Json) -> Result<zolc_bench::SweepConfig, String>
             .map_err(|_| format!("sweep: unknown executor `{name}`"))?;
         cfg = cfg.with_executor(kind);
     }
+    cfg.base_seed
+        .checked_add(cfg.programs as u64)
+        .ok_or("sweep: seed range overflows u64")?;
     Ok(cfg)
+}
+
+// ---- SweepReport --------------------------------------------------------
+
+/// The canonical JSON encoding of a [`SweepReport`]: the result document
+/// `zolcd` caches and serves for sweep jobs. Savings are written in
+/// shortest round-trip form, so a client parses back the exact bits.
+pub fn sweep_report_json(r: &SweepReport) -> Json {
+    Json::Obj(vec![
+        ("programs".into(), Json::u64(r.programs as u64)),
+        ("cells".into(), Json::u64(r.cells as u64)),
+        ("total_loops".into(), Json::u64(r.total_loops as u64)),
+        (
+            "points".into(),
+            Json::Arr(r.points.iter().map(point_summary_json).collect()),
+        ),
+    ])
+}
+
+fn point_summary_json(p: &PointSummary) -> Json {
+    Json::Obj(vec![
+        ("label".into(), Json::Str(p.label.clone())),
+        ("hw_loops".into(), Json::u64(p.hw_loops as u64)),
+        ("unhandled".into(), Json::u64(p.unhandled as u64)),
+        (
+            // stored in Feature::ALL order as [handled, total] pairs
+            "coverage".into(),
+            Json::Arr(
+                p.coverage
+                    .iter()
+                    .map(|&(_, handled, total)| {
+                        Json::Arr(vec![Json::u64(handled as u64), Json::u64(total as u64)])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "savings".into(),
+            Json::Arr(p.savings.iter().map(|&s| Json::f64(s)).collect()),
+        ),
+    ])
 }
 
 // ---- retarget jobs ------------------------------------------------------
@@ -722,6 +768,63 @@ mod tests {
             parse_sweep_config(&bad).unwrap_err(),
             "sweep: unknown executor `superscalar`"
         );
+    }
+
+    #[test]
+    fn a_seed_range_past_u64_is_rejected() {
+        let last = |programs: u64| {
+            json::parse(&format!(
+                r#"{{"base_seed":{},"programs":{programs}}}"#,
+                u64::MAX - 2
+            ))
+            .unwrap()
+        };
+        assert_eq!(parse_sweep_config(&last(2)).unwrap().programs, 2);
+        assert_eq!(
+            parse_sweep_config(&last(3)).unwrap_err(),
+            "sweep: seed range overflows u64"
+        );
+    }
+
+    /// The sweep result bytes `zolcd` serves, pinned: the digests were
+    /// recorded from the report encoder before it moved into this
+    /// module, and the savings must parse back to the report's exact bits.
+    #[test]
+    fn sweep_report_bytes_are_pinned_and_savings_roundtrip_bit_exactly() {
+        let two_points = zolc_bench::SweepConfig::new()
+            .with_programs(10)
+            .with_base_seed(300)
+            .with_points(vec![
+                SweepPoint::new("ZOLClite", ZolcConfig::lite()),
+                SweepPoint::new("uZOLC", ZolcConfig::micro()),
+            ]);
+        // the four standard points on three seeds
+        let standard = zolc_bench::SweepConfig::new()
+            .with_programs(3)
+            .with_base_seed(17);
+        for (cfg, digest) in [
+            (two_points, 0x45ed_819d_f249_5431),
+            (standard, 0xea04_0702_67d4_5591),
+        ] {
+            let report = zolc_bench::run_sweep(&cfg);
+            assert!(
+                report.points.iter().all(|p| !p.savings.is_empty()),
+                "the pin needs savings data"
+            );
+            let text = sweep_report_json(&report).render();
+            assert_eq!(crate::cache::fnv1a(text.as_bytes()), digest, "{text}");
+
+            let doc = json::parse(&text).unwrap();
+            let points = doc.get("points").and_then(Json::as_arr).unwrap();
+            assert_eq!(points.len(), report.points.len());
+            for (p, summary) in points.iter().zip(&report.points) {
+                let savings = p.get("savings").and_then(Json::as_arr).unwrap();
+                assert_eq!(savings.len(), summary.savings.len());
+                for (s, x) in savings.iter().zip(&summary.savings) {
+                    assert_eq!(s.as_f64().unwrap().to_bits(), x.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

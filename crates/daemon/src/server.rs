@@ -17,7 +17,7 @@ use zolc_isa::Program;
 use crate::cache::ResultCache;
 use crate::protocol::{
     err_response, lint_report_json, lint_request, ok_response, read_frame, retarget_request,
-    retargeted_json, sweep_config_json, write_frame,
+    retargeted_json, sweep_config_json, sweep_report_json, write_frame,
 };
 
 /// How a [`Daemon`] binds and serves.
@@ -107,7 +107,7 @@ pub fn sweep_result(cfg: &SweepConfig) -> Result<String, String> {
     // daemon: the sweep runs under catch_unwind and the panic is
     // cached like any other failure.
     match catch_unwind(AssertUnwindSafe(|| run_sweep(cfg))) {
-        Ok(report) => Ok(zolc_bench::report_json(&report).render()),
+        Ok(report) => Ok(sweep_report_json(&report).render()),
         Err(panic) => {
             let msg = crate::cache::panic_message(&*panic).unwrap_or("sweep panicked");
             Err(format!("sweep panicked: {msg}"))
@@ -549,6 +549,18 @@ mod tests {
         );
         let r = c.request_raw(b"{\"op\":\"dance\"}").unwrap();
         assert!(r.starts_with(b"{\"ok\":false"));
+        // a seed range that would wrap is refused before any job runs
+        let r = c
+            .request_raw(
+                br#"{"op":"sweep","config":{"base_seed":18446744073709551615,"programs":2}}"#,
+            )
+            .unwrap();
+        assert_eq!(r, err_response("sweep: seed range overflows u64"));
+        let stats = c.stats().unwrap();
+        assert_eq!(
+            stats.get("sweep").unwrap().get("misses").unwrap().as_u64(),
+            Some(0)
+        );
         // the connection survived both
         assert!(c.ping().unwrap());
 

@@ -205,49 +205,67 @@ fn explore_analyze_prints_dataflow_view() {
     }
 }
 
+/// Runs `explore` with `extra` and asserts a usage error: exit status 2
+/// and one line on stderr containing `needle`.
+fn assert_explore_usage_error(extra: &[&str], needle: &str) {
+    let out = std::process::Command::new(env!("CARGO"))
+        .args(["run", "--quiet", "--example", "explore", "--"])
+        .args(extra)
+        .output()
+        .expect("spawns the explore example");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "explore {extra:?} should be a usage error: stdout {:?} stderr {stderr:?}",
+        String::from_utf8_lossy(&out.stdout),
+    );
+    assert_eq!(
+        stderr.lines().count(),
+        1,
+        "explore {extra:?}: usage errors are one line: {stderr:?}"
+    );
+    assert!(
+        stderr.contains(needle),
+        "explore {extra:?}: expected {needle:?} in {stderr:?}"
+    );
+}
+
 /// The `explore` example's mode/flag exclusions: a flag the chosen mode
 /// would silently ignore must be a usage error — one line on stderr,
 /// exit status 2 (the PR 6 convention) — never a silent default.
 #[test]
 fn explore_rejects_ignored_flag_combinations() {
-    use std::process::Command;
-
     let cases: &[&[&str]] = &[
         &["--show", "17", "--executor", "functional"],
-        &["--show", "17", "--out", "nowhere"],
-        &["--show", "17", "--shards", "4"],
         &["--show", "17", "--oracle-check"],
         &["--show", "17", "--analyze", "17"],
         &["--analyze", "17", "--executor", "functional"],
-        &["--analyze", "17", "--shards", "4"],
         &["--analyze", "17", "--oracle-check"],
         &["--oracle-check", "--executor", "nest"],
-        &["--oracle-check", "--out", "nowhere"],
-        &["--oracle-check", "--stop-after", "1"],
     ];
     for extra in cases {
-        let out = Command::new(env!("CARGO"))
-            .args(["run", "--quiet", "--example", "explore", "--"])
-            .args(*extra)
-            .output()
-            .expect("spawns the explore example");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "explore {extra:?} should be a usage error: stdout {:?} stderr {:?}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            stderr.lines().count(),
-            1,
-            "explore {extra:?}: usage errors are one line: {stderr:?}"
-        );
-        assert!(
-            stderr.contains("cannot be combined"),
-            "explore {extra:?}: unexpected message {stderr:?}"
-        );
+        assert_explore_usage_error(extra, "cannot be combined");
+    }
+}
+
+/// `explore` usage errors outside the mode exclusions: flags it does
+/// not know, and a seed range past `u64::MAX`, whose seeds would
+/// otherwise wrap.
+#[test]
+fn explore_rejects_unknown_flags_and_overflowing_seed_ranges() {
+    for flag in [
+        &["--out", "x"][..],
+        &["--shards", "4"],
+        &["--stop-after", "1"],
+    ] {
+        assert_explore_usage_error(flag, "unknown argument");
+    }
+    for overflow in [
+        &["--seed", "18446744073709551615", "--programs", "2"][..],
+        &["--oracle-check", "--seed", "18446744073709551615"],
+    ] {
+        assert_explore_usage_error(overflow, "runs past the last u64 seed");
     }
 }
 
